@@ -20,14 +20,13 @@ Main entry points:
 
 from .dengue import (ModelParams, StateVector, classical_rhs, default_scenario,
                      population_drift)
-from .expansion import (AugmentedVectorField, DegenerateCoefficientError,
-                        ExpansionCoefficients, ExpansionConfig, PoleError,
-                        SampledFunction, approx_rl_derivative, coeff_a,
-                        coeff_a_prime, coeff_c, expand_system, gamma)
+from .expansion import (DegenerateCoefficientError, ExpansionCoefficients,
+                        ExpansionConfig, PoleError, SampledFunction,
+                        approx_rl_derivative, approx_rl_derivative_on_grid,
+                        coeff_a, coeff_a_prime, coeff_c, expand_system, gamma)
 from .fitting import (CurvePoint, FitFailedError, FitResult, ObservedSeries,
                       fit_alpha, generate_synthetic, percentage_error)
-from .grunwald import (GlWeights, gl_derivative_at, gl_simulate, gl_weights,
-                       power_rule_exact)
+from .grunwald import gl_derivative_at, gl_simulate, gl_weights, power_rule_exact
 from .integrate import (BlowUpError, TimeGrid, TimeSeries, integrate_rk4,
                         simulate_classical, simulate_fractional)
 
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AugmentedVectorField",
     "BlowUpError",
     "CurvePoint",
     "DegenerateCoefficientError",
@@ -43,7 +41,6 @@ __all__ = [
     "ExpansionConfig",
     "FitFailedError",
     "FitResult",
-    "GlWeights",
     "ModelParams",
     "ObservedSeries",
     "PoleError",
@@ -52,6 +49,7 @@ __all__ = [
     "TimeGrid",
     "TimeSeries",
     "approx_rl_derivative",
+    "approx_rl_derivative_on_grid",
     "classical_rhs",
     "coeff_a",
     "coeff_a_prime",

@@ -30,18 +30,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dengue import ModelParams, StateVector, classical_rhs, default_scenario
+from .dengue import (ModelParams, StateVector, check_population_balance, classical_rhs,
+                     default_scenario)
 from .expansion import (ExpansionConfig, ExpansionCoefficients, SampledFunction,
-                        approx_rl_derivative, coeff_a, coeff_a_prime, coeff_c, gamma)
+                        approx_rl_derivative, approx_rl_derivative_on_grid, coeff_a,
+                        coeff_a_prime, coeff_c, gamma)
 from .fitting import FitFailedError, FitResult, ObservedSeries, fit_alpha
-from .grunwald import gl_derivative_at, gl_simulate, gl_weights, power_rule_exact
+from .grunwald import gl_derivative_at, gl_simulate, power_rule_exact
 from .integrate import (BlowUpError, TimeGrid, TimeSeries, simulate_classical,
                         simulate_fractional)
 
@@ -65,9 +67,9 @@ class ConfigError(ValueError):
     """Scenario file rejected; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated simulation setup loaded from a config file."""
+    """A fully validated simulation setup."""
 
     params: ModelParams
     initial: StateVector
@@ -76,6 +78,13 @@ class ScenarioConfig:
     t_end: float
     step: float
     epsilon: float
+
+    def __post_init__(self) -> None:
+        self.expansion_config()
+        self.time_grid()
+        if self.epsilon <= 0 or not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        check_population_balance(self.params, self.initial)
 
     def expansion_config(self) -> ExpansionConfig:
         return ExpansionConfig(alpha=self.alpha, order_n=self.order_n)
@@ -118,6 +127,26 @@ def _parse_scenario_text(lines: Sequence[str], source: str) -> dict[str, float]:
     return raw
 
 
+def _scenario_from_keys(raw: dict[str, float]) -> ScenarioConfig:
+    """Fill the keys missing from raw from the default outbreak scenario.
+
+    n_m defaults to m_ratio * n_h; s_h0 and s_m0 default to whatever
+    balances the population totals.
+    """
+    base_params, base_initial = default_scenario()
+    model = {key: raw.get(key, getattr(base_params, key)) for key in _MODEL_KEYS}
+    if "n_m" not in raw and ("n_h" in raw or "m_ratio" in raw):
+        model["n_m"] = model["m_ratio"] * model["n_h"]
+    i_h = raw.get("i_h0", base_initial.i_h)
+    r_h = raw.get("r_h0", base_initial.r_h)
+    i_m = raw.get("i_m0", base_initial.i_m)
+    params = ModelParams(**model)
+    initial = StateVector(s_h=raw.get("s_h0", model["n_h"] - i_h - r_h), i_h=i_h, r_h=r_h,
+                          s_m=raw.get("s_m0", model["n_m"] - i_m), i_m=i_m)
+    run = {key: raw.get(key, default) for key, default in _RUN_DEFAULTS.items()}
+    return ScenarioConfig(params=params, initial=initial, **run)
+
+
 def load_scenario_config(path: str) -> ScenarioConfig:
     """Parse and validate a key=value scenario file.
 
@@ -127,53 +156,10 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     """
     with open(path, encoding="utf-8") as fh:
         raw = _parse_scenario_text(fh.readlines(), path)
-
-    base_params, base_initial = default_scenario()
-    model = {key: getattr(base_params, key) for key in _MODEL_KEYS}
-    overridden_nh = "n_h" in raw or "m_ratio" in raw
-    for key in _MODEL_KEYS:
-        if key in raw:
-            model[key] = raw[key]
-    if "n_m" not in raw and overridden_nh:
-        model["n_m"] = model["m_ratio"] * model["n_h"]
-
-    state = {
-        "i_h0": raw.get("i_h0", base_initial.i_h),
-        "r_h0": raw.get("r_h0", base_initial.r_h),
-        "i_m0": raw.get("i_m0", base_initial.i_m),
-    }
-    state["s_h0"] = raw.get("s_h0", model["n_h"] - state["i_h0"] - state["r_h0"])
-    state["s_m0"] = raw.get("s_m0", model["n_m"] - state["i_m0"])
-
-    run = dict(_RUN_DEFAULTS)
-    for key in _RUN_KEYS:
-        if key in raw:
-            run[key] = raw[key]
-
     try:
-        params = ModelParams(**model)
-        initial = StateVector(s_h=state["s_h0"], i_h=state["i_h0"], r_h=state["r_h0"],
-                              s_m=state["s_m0"], i_m=state["i_m0"])
-        ExpansionConfig(alpha=run["alpha"], order_n=run["order_n"])
-        TimeGrid(t_start=0.0, t_end=run["t_end"], step=run["step"])
-        if run["epsilon"] <= 0 or not math.isfinite(run["epsilon"]):
-            raise ValueError(f"epsilon must be positive and finite, got {run['epsilon']!r}")
-        if abs(initial.total_hosts - params.n_h) > 1e-9 * params.n_h:
-            raise ValueError(
-                f"s_h0 + i_h0 + r_h0 = {initial.total_hosts!r} must equal n_h = {params.n_h!r}"
-            )
-        if abs(initial.total_mosquitoes - params.n_m) > 1e-9 * params.n_m:
-            raise ValueError(
-                f"s_m0 + i_m0 = {initial.total_mosquitoes!r} must equal n_m = {params.n_m!r}"
-            )
-    except ConfigError:
-        raise
+        return _scenario_from_keys(raw)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    return ScenarioConfig(params=params, initial=initial, alpha=run["alpha"],
-                          order_n=int(run["order_n"]), t_end=run["t_end"],
-                          step=run["step"], epsilon=run["epsilon"])
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +221,6 @@ def write_error_curve_csv(fh: TextIO, result: FitResult) -> None:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     cfg = ExpansionConfig(alpha=args.alpha, order_n=args.order)
-    if cfg.alpha == 1.0:
-        raise ValueError("alpha = 1 is the classical case and has no expansion weights")
     coefs = ExpansionCoefficients.from_config(cfg)
     print(f"alpha {_FLOAT_FMT.format(cfg.alpha)}")
     print(f"order {cfg.order_n}")
@@ -256,38 +240,19 @@ _DERIV_FUNCTIONS = {
 
 def _cmd_deriv(args: argparse.Namespace) -> int:
     cfg = ExpansionConfig(alpha=args.alpha, order_n=args.order)
-    if cfg.alpha == 1.0:
-        raise ValueError("deriv compares fractional approximations; use alpha < 1")
+    TimeGrid(t_start=0.0, t_end=args.t_end, step=args.step)  # validates the window
     fn, k = _DERIV_FUNCTIONS[args.function]
-    num = int(round(args.t_end / args.step)) + 1
-    if num < 3:
-        raise ValueError("t-end / step must give at least 3 grid nodes")
-    x = SampledFunction.from_function(fn, 0.0, args.t_end, num)
-    ts = x.times
-    h = x.step
-
-    coefs = ExpansionCoefficients.from_config(cfg)
-    derivative = np.gradient(x.values, h, edge_order=2)
-    expansion_vals = (coefs.a_coef * ts[1:] ** (-cfg.alpha) * x.values[1:]
-                      + coefs.a_prime_coef * ts[1:] ** (1.0 - cfg.alpha) * derivative[1:])
-    power = np.ones_like(ts)
-    for p in range(2, cfg.order_n + 1):
-        integrand = (1.0 - p) * power * x.values
-        running = np.cumsum(integrand)
-        v_p = h * (running - 0.5 * (integrand[0] + integrand))
-        expansion_vals -= coefs.c_coefs[p - 2] * ts[1:] ** (1.0 - p - cfg.alpha) * v_p[1:]
-        power = power * ts
-
-    w = gl_weights(cfg.alpha, len(ts) - 1).weights
-    gl_vals = np.array([h ** (-cfg.alpha) * (w[:i + 1] @ x.values[i::-1])
-                        for i in range(1, len(ts))])
-    closed = np.array([power_rule_exact(cfg.alpha, k, t) for t in ts[1:]])
+    x = SampledFunction.from_function(fn, 0.0, args.t_end, round(args.t_end / args.step) + 1)
+    ts = x.times[1:]
+    expansion_vals = approx_rl_derivative_on_grid(x, cfg)
+    gl_vals = [gl_derivative_at(x, cfg.alpha, i) for i in range(1, len(x.times))]
+    closed = [power_rule_exact(cfg.alpha, k, t) for t in ts]
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("t", "expansion", "grunwald", "closed_form"))
-        for row in zip(ts[1:], expansion_vals, gl_vals, closed):
+        for row in zip(ts, expansion_vals, gl_vals, closed):
             writer.writerow([_FLOAT_FMT.format(v) for v in row])
     finally:
         if args.out:
@@ -296,30 +261,13 @@ def _cmd_deriv(args: argparse.Namespace) -> int:
 
 
 def _load_run_setup(args: argparse.Namespace) -> ScenarioConfig:
-    if args.config:
-        scenario = load_scenario_config(args.config)
-    else:
-        params, initial = default_scenario()
-        scenario = ScenarioConfig(params=params, initial=initial,
-                                  t_end=_RUN_DEFAULTS["t_end"],
-                                  step=_RUN_DEFAULTS["step"],
-                                  epsilon=_RUN_DEFAULTS["epsilon"],
-                                  alpha=_RUN_DEFAULTS["alpha"],
-                                  order_n=_RUN_DEFAULTS["order_n"])
+    scenario = load_scenario_config(args.config) if args.config else _scenario_from_keys({})
     overrides = {}
     if getattr(args, "alpha", None) is not None:
         overrides["alpha"] = args.alpha
-    if getattr(args, "order", None) is not None:
+    if args.order is not None:
         overrides["order_n"] = args.order
-    if overrides:
-        ExpansionConfig(alpha=overrides.get("alpha", scenario.alpha),
-                        order_n=overrides.get("order_n", scenario.order_n))
-        scenario = ScenarioConfig(params=scenario.params, initial=scenario.initial,
-                                  alpha=overrides.get("alpha", scenario.alpha),
-                                  order_n=overrides.get("order_n", scenario.order_n),
-                                  t_end=scenario.t_end, step=scenario.step,
-                                  epsilon=scenario.epsilon)
-    return scenario
+    return dataclasses.replace(scenario, **overrides)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

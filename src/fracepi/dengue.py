@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "StateVector",
+    "check_population_balance",
     "classical_rhs",
     "default_scenario",
     "population_drift",
@@ -99,6 +100,20 @@ class StateVector:
     def from_array(cls, values: np.ndarray) -> "StateVector":
         s_h, i_h, r_h, s_m, i_m = (float(v) for v in values)
         return cls(s_h=s_h, i_h=i_h, r_h=r_h, s_m=s_m, i_m=i_m)
+
+
+def check_population_balance(params: ModelParams, y0: StateVector) -> None:
+    """Reject an initial state whose compartments do not sum to n_h and n_m."""
+    if abs(y0.total_hosts - params.n_h) > 1e-9 * params.n_h:
+        raise ValueError(
+            f"initial host compartments s_h + i_h + r_h sum to {y0.total_hosts!r}, "
+            f"expected n_h = {params.n_h!r}"
+        )
+    if abs(y0.total_mosquitoes - params.n_m) > 1e-9 * params.n_m:
+        raise ValueError(
+            f"initial mosquito compartments s_m + i_m sum to {y0.total_mosquitoes!r}, "
+            f"expected n_m = {params.n_m!r}"
+        )
 
 
 def classical_rhs(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:

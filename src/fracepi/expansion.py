@@ -1,23 +1,28 @@
 """Series expansion of the left Riemann-Liouville derivative.
 
-The fractional derivative of order alpha in (0, 1) with lower terminal a,
+The fractional derivative of order alpha in (0, 1) with lower terminal 0,
 
-    D^alpha x(t) = 1/Gamma(1-alpha) * d/dt integral_a^t (t-tau)^(-alpha) x(tau) dtau,
+    D^alpha x(t) = 1/Gamma(1-alpha) * d/dt integral_0^t (t-tau)^(-alpha) x(tau) dtau,
 
 is replaced by a truncated series of integer-order quantities:
 
-    D^alpha x(t) ~= A (t-a)^(-alpha) x(t) + A' (t-a)^(1-alpha) x'(t)
-                    - sum_{p=2}^{N} C_p (t-a)^(1-p-alpha) V_p(t),
+    D^alpha x(t) ~= A t^(-alpha) x(t) + A' t^(1-alpha) x'(t)
+                    - sum_{p=2}^{N} C_p t^(1-p-alpha) V_p(t),
 
 where each moment integral V_p satisfies the ordinary initial value problem
 
-    V_p'(t) = (1-p) (t-a)^(p-2) x(t),   V_p(a) = 0,   p = 2, ..., N.
+    V_p'(t) = (1-p) t^(p-2) x(t),   V_p(0) = 0,   p = 2, ..., N.
 
-The weights are
+The weights are built from the ratios r_p = Gamma(p-1+alpha) / (Gamma(alpha) (p-1)!),
+which follow the recurrence r_1 = 1, r_{p+1} = r_p (p-1+alpha) / p:
 
-    A(alpha, N)  = 1/Gamma(1-alpha) * [1 + sum_{p=2}^{N} Gamma(p-1+alpha) / (Gamma(alpha) (p-1)!)]
-    A'(alpha, N) = 1/Gamma(2-alpha) * [1 + sum_{p=1}^{N} Gamma(p-1+alpha) / (Gamma(alpha-1) p!)]
-    C(alpha, p)  = Gamma(p-1+alpha) / (Gamma(2-alpha) Gamma(alpha-1) (p-1)!).
+    A(alpha, N)  = [1 + sum_{p=2}^{N} r_p] / Gamma(1-alpha)
+    A'(alpha, N) = [1 + (alpha-1) sum_{p=1}^{N} r_p / p] / Gamma(2-alpha)
+    C(alpha, p)  = (alpha-1) r_p / Gamma(2-alpha).
+
+The recurrence keeps every term of order one, where separate
+Gamma(p-1+alpha) and (p-1)! factors overflow from p ~ 143 on.  Gamma itself
+is `math.gamma` behind a pole check.
 
 Because the substitution is algebraic, a d-dimensional fractional system
 turns into an ordinary system of dimension d*N (`expand_system`), which any
@@ -41,11 +46,11 @@ __all__ = [
     "ExpansionConfig",
     "ExpansionCoefficients",
     "SampledFunction",
-    "AugmentedVectorField",
     "coeff_a",
     "coeff_a_prime",
     "coeff_c",
     "approx_rl_derivative",
+    "approx_rl_derivative_on_grid",
     "expand_system",
 ]
 
@@ -63,52 +68,9 @@ DEGENERATE_A_PRIME_TOL = 1e-8
 
 _POLE_TOL = 1e-12
 
-# Lanczos approximation, g = 7, 9 coefficients.  Together with the
-# reflection identity below this keeps the relative error under ~1e-13
-# for real arguments in (-10, 50).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with the argument reduced to [-0.5, 0.5] first.
-
-    Direct evaluation of sin(pi*x) loses relative accuracy next to the
-    zeros of the sine; reducing by the nearest integer keeps full
-    precision there, which the reflection identity depends on.
-    """
-    n = round(x)
-    r = x - n
-    s = math.sin(math.pi * r)
-    return -s if n % 2 else s
-
-
-def _lanczos_gamma(x: float) -> float:
-    # Valid for x >= 0.5.
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
 
 def gamma(x: float) -> float:
-    """Gamma function for real arguments.
-
-    Arguments at or above 0.5 use the Lanczos series directly; arguments
-    below 0.5 go through the reflection identity
-    Gamma(x) Gamma(1-x) = pi / sin(pi x).
+    """Gamma function for real arguments: `math.gamma` behind a pole check.
 
     Raises:
         PoleError: x is within 1e-12 of a non-positive integer.
@@ -117,12 +79,10 @@ def gamma(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"gamma requires a finite argument, got {x!r}")
-    if x >= 0.5:
-        return _lanczos_gamma(x)
     nearest = round(x)
     if nearest <= 0 and abs(x - nearest) <= _POLE_TOL:
         raise PoleError(f"gamma pole at non-positive integer: x = {x!r}")
-    return math.pi / (_sinpi(x) * _lanczos_gamma(1.0 - x))
+    return math.gamma(x)
 
 
 @dataclass(frozen=True)
@@ -131,13 +91,12 @@ class ExpansionConfig:
 
     alpha is the fractional order; alpha = 1 selects the exact classical
     bypass.  order_n is the truncation order N of the series (the V_p sum
-    runs over p = 2, ..., N).  lower_terminal is the terminal a of the
-    derivative; this package always works with a = 0.
+    runs over p = 2, ..., N).  The lower terminal of the derivative is
+    always t = 0.
     """
 
     alpha: float
     order_n: int
-    lower_terminal: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.order_n, (int, np.integer)) or isinstance(self.order_n, bool):
@@ -146,8 +105,6 @@ class ExpansionConfig:
             raise ValueError(f"alpha must satisfy 0 < alpha <= 1, got {self.alpha!r}")
         if self.order_n < 2:
             raise ValueError(f"order_n must be >= 2, got {self.order_n}")
-        if not math.isfinite(self.lower_terminal):
-            raise ValueError("lower_terminal must be finite")
 
 
 def _require_expandable(alpha: float) -> None:
@@ -158,48 +115,44 @@ def _require_expandable(alpha: float) -> None:
         )
 
 
-def coeff_a(alpha: float, order_n: int) -> float:
-    """Value-term weight A(alpha, N).
+def _weights(alpha: float, order_n: int) -> tuple[float, float, np.ndarray]:
+    """(A, A', [C_2 .. C_N]) from one pass of the ratio recurrence."""
+    _require_expandable(alpha)
+    if order_n < 1:
+        raise ValueError(f"order_n must be >= 1, got {order_n}")
+    p = np.arange(1.0, order_n + 1.0)
+    r = np.cumprod(np.concatenate(([1.0], (p[:-1] - 1.0 + alpha) / p[:-1])))
+    g_2ma = gamma(2.0 - alpha)
+    a_coef = (1.0 + float(r[1:].sum())) / gamma(1.0 - alpha)
+    a_prime_coef = (1.0 + (alpha - 1.0) * float((r / p).sum())) / g_2ma
+    return a_coef, a_prime_coef, (alpha - 1.0) * r[1:] / g_2ma
 
-    A = 1/Gamma(1-alpha) * [1 + sum_{p=2}^{N} Gamma(p-1+alpha) / (Gamma(alpha) (p-1)!)].
+
+def coeff_a(alpha: float, order_n: int) -> float:
+    """Value-term weight A(alpha, N) = [1 + sum_{p=2}^{N} r_p] / Gamma(1-alpha).
+
     Positive for alpha in (0, 1) and any N; tends to 0 as alpha -> 1
     because of the Gamma(1-alpha) pole.
     """
-    _require_expandable(alpha)
-    if order_n < 1:
-        raise ValueError(f"order_n must be >= 1, got {order_n}")
-    g_alpha = gamma(alpha)
-    total = 1.0
-    for p in range(2, order_n + 1):
-        total += gamma(p - 1 + alpha) / (g_alpha * math.factorial(p - 1))
-    return total / gamma(1.0 - alpha)
+    return _weights(alpha, order_n)[0]
 
 
 def coeff_a_prime(alpha: float, order_n: int) -> float:
-    """Derivative-term weight A'(alpha, N).
+    """Derivative-term weight A'(alpha, N) = [1 + (alpha-1) sum_{p=1}^{N} r_p / p] / Gamma(2-alpha).
 
-    A' = 1/Gamma(2-alpha) * [1 + sum_{p=1}^{N} Gamma(p-1+alpha) / (Gamma(alpha-1) p!)].
-    Tends to 1 as alpha -> 1 (the Gamma(alpha-1) pole kills the sum).
+    Tends to 1 as alpha -> 1 (the alpha-1 factor kills the sum).
     """
-    _require_expandable(alpha)
-    if order_n < 1:
-        raise ValueError(f"order_n must be >= 1, got {order_n}")
-    g_am1 = gamma(alpha - 1.0)
-    total = 1.0
-    for p in range(1, order_n + 1):
-        total += gamma(p - 1 + alpha) / (g_am1 * math.factorial(p))
-    return total / gamma(2.0 - alpha)
+    return _weights(alpha, order_n)[1]
 
 
 def coeff_c(alpha: float, p: int) -> float:
-    """Moment weight C(alpha, p) = Gamma(p-1+alpha) / (Gamma(2-alpha) Gamma(alpha-1) (p-1)!).
+    """Moment weight C(alpha, p) = (alpha-1) r_p / Gamma(2-alpha).
 
-    Negative for alpha in (0, 1): Gamma(alpha-1) is the only negative factor.
+    Negative for alpha in (0, 1): alpha-1 is the only negative factor.
     """
-    _require_expandable(alpha)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    return gamma(p - 1 + alpha) / (gamma(2.0 - alpha) * gamma(alpha - 1.0) * math.factorial(p - 1))
+    return float(_weights(alpha, p)[2][-1])
 
 
 @dataclass(frozen=True)
@@ -232,17 +185,9 @@ class ExpansionCoefficients:
 
     @classmethod
     def from_config(cls, cfg: ExpansionConfig) -> "ExpansionCoefficients":
-        if cfg.alpha >= 1.0:
-            raise ValueError(
-                "alpha = 1 has no expansion coefficients (gamma poles); "
-                "callers handle the classical case separately"
-            )
-        cs = np.array([coeff_c(cfg.alpha, p) for p in range(2, cfg.order_n + 1)])
-        return cls(
-            a_coef=coeff_a(cfg.alpha, cfg.order_n),
-            a_prime_coef=coeff_a_prime(cfg.alpha, cfg.order_n),
-            c_coefs=cs,
-        )
+        """Weights for cfg; alpha = 1 has none (gamma poles) and is rejected."""
+        a_coef, a_prime_coef, c_coefs = _weights(cfg.alpha, cfg.order_n)
+        return cls(a_coef=a_coef, a_prime_coef=a_prime_coef, c_coefs=c_coefs)
 
 
 @dataclass(frozen=True)
@@ -292,95 +237,69 @@ class SampledFunction:
         return int(i)
 
 
-def _derivative_at(values: np.ndarray, step: float, i: int) -> float:
-    """Second-order finite difference at node i (one-sided at the ends)."""
-    last = len(values) - 1
-    if i == 0:
-        return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * step)
-    if i == last:
-        return (3.0 * values[last] - 4.0 * values[last - 1] + values[last - 2]) / (2.0 * step)
-    return (values[i + 1] - values[i - 1]) / (2.0 * step)
+def approx_rl_derivative_on_grid(x: SampledFunction, cfg: ExpansionConfig) -> np.ndarray:
+    """Evaluate the expansion of the fractional derivative of x at every node but t = 0.
 
-
-def approx_rl_derivative(x: SampledFunction, cfg: ExpansionConfig, t: float) -> float:
-    """Evaluate the expansion of the fractional derivative of x at time t.
-
-    t must coincide with a node of x's grid, strictly after the lower
-    terminal (the leading (t-a)^(-alpha) factor is singular at t = a).
-    x'(t) is a second-order finite difference on the grid; each V_p(t) is
-    the trapezoidal quadrature of (1-p) (tau-a)^(p-2) x(tau) over [a, t].
+    The grid of x must start at the lower terminal t = 0, where the leading
+    t^(-alpha) factor is singular, so entry i - 1 of the result belongs to
+    x.times[i].  x'(t) is the second-order finite difference of
+    `np.gradient` (one-sided at the ends); each V_p(t) is the cumulative
+    trapezoidal quadrature of (1-p) tau^(p-2) x(tau) over [0, t].
     """
     if cfg.alpha >= 1.0:
         raise ValueError("the pointwise expansion requires alpha < 1")
-    a = cfg.lower_terminal
-    if abs(x.times[0] - a) > 1e-9 * max(1.0, abs(a)):
+    if abs(x.times[0]) > 1e-9:
         raise ValueError(
-            f"sample grid must start at the lower terminal a = {a!r}, "
-            f"got times[0] = {x.times[0]!r}"
+            f"sample grid must start at the lower terminal t = 0, got times[0] = {x.times[0]!r}"
         )
+    coefs = ExpansionCoefficients.from_config(cfg)
+    ts = x.times
+    h = x.step
+    derivative = np.gradient(x.values, h, edge_order=2)
+    result = (coefs.a_coef * ts[1:] ** (-cfg.alpha) * x.values[1:]
+              + coefs.a_prime_coef * ts[1:] ** (1.0 - cfg.alpha) * derivative[1:])
+    power = np.ones_like(ts)          # tau^(p-2), built incrementally
+    for p in range(2, cfg.order_n + 1):
+        integrand = (1.0 - p) * power * x.values
+        v_p = h * (np.cumsum(integrand) - 0.5 * (integrand[0] + integrand))
+        result -= coefs.c_coefs[p - 2] * ts[1:] ** (1.0 - p - cfg.alpha) * v_p[1:]
+        power = power * ts
+    return result
+
+
+def approx_rl_derivative(x: SampledFunction, cfg: ExpansionConfig, t: float) -> float:
+    """Expansion of the fractional derivative of x at the grid node t > 0.
+
+    This is the entry of `approx_rl_derivative_on_grid` that belongs to t.
+    """
     i = x.index_at(t)
     if i == 0:
         raise ValueError("t must be strictly greater than the lower terminal")
-
-    coefs = ExpansionCoefficients.from_config(cfg)
-    h = x.step
-    tau = t - a
-    xd = _derivative_at(x.values, h, i)
-    result = (coefs.a_coef * tau ** (-cfg.alpha) * x.values[i]
-              + coefs.a_prime_coef * tau ** (1.0 - cfg.alpha) * xd)
-
-    shifted = x.times[: i + 1] - a
-    vals = x.values[: i + 1]
-    power = np.ones_like(shifted)          # (tau - a)^(p-2), built incrementally
-    for p in range(2, cfg.order_n + 1):
-        integrand = (1.0 - p) * power * vals
-        v_p = h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
-        result -= coefs.c_coefs[p - 2] * tau ** (1.0 - p - cfg.alpha) * v_p
-        power = power * shifted
-    return float(result)
-
-
-@dataclass(frozen=True)
-class AugmentedVectorField:
-    """Ordinary vector field equivalent to a d-dimensional fractional system.
-
-    State layout: the first physical_dim entries are the physical states;
-    then, for each physical state in order, its auxiliaries V_2, ..., V_N.
-    Total dimension is physical_dim * order_n.
-    """
-
-    physical_dim: int
-    order_n: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-
-    @property
-    def total_dim(self) -> int:
-        return self.physical_dim * self.order_n
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return self.rhs(t, y)
+    return float(approx_rl_derivative_on_grid(x, cfg)[i - 1])
 
 
 def expand_system(f: Callable[[float, np.ndarray], np.ndarray], dim: int,
-                  cfg: ExpansionConfig) -> AugmentedVectorField:
+                  cfg: ExpansionConfig) -> Callable[[float, np.ndarray], np.ndarray]:
     """Turn the fractional system D^alpha x = f(t, x) into an ordinary one.
 
-    For alpha < 1 the physical states obey
+    The returned right-hand side acts on states of dimension dim * N: the
+    first dim entries are the physical states, then, for each physical
+    state in order, its auxiliaries V_2, ..., V_N.  For alpha < 1 the
+    physical states obey
 
-        x_k' = [f_k(t, x) - A tau^(-alpha) x_k + sum_p C_p tau^(1-p-alpha) V_p^k]
-               * tau^(alpha-1) / A',
+        x_k' = [f_k(t, x) - A t^(-alpha) x_k + sum_p C_p t^(1-p-alpha) V_p^k]
+               * t^(alpha-1) / A',
 
-    with tau = t - a, while each auxiliary follows V_p^k' = (1-p) tau^(p-2) x_k,
-    all starting from V_p^k(a) = 0.  For alpha = 1 the original field is
-    embedded unchanged, with identically-zero auxiliary dynamics, so the
-    classical system is recovered exactly rather than in the limit.
+    while each auxiliary follows V_p^k' = (1-p) t^(p-2) x_k, all starting
+    from V_p^k(0) = 0.  For alpha = 1 the original field is embedded
+    unchanged, with identically-zero auxiliary dynamics, so the classical
+    system is recovered exactly rather than in the limit.
 
     Raises DegenerateCoefficientError when |A'| is below the safe floor.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     n = cfg.order_n
-    a = cfg.lower_terminal
 
     if cfg.alpha == 1.0:
         def classical_embedding(t: float, y: np.ndarray) -> np.ndarray:
@@ -388,7 +307,7 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray], dim: int,
             out[:dim] = f(t, y[:dim])
             return out
 
-        return AugmentedVectorField(physical_dim=dim, order_n=n, rhs=classical_embedding)
+        return classical_embedding
 
     coefs = ExpansionCoefficients.from_config(cfg)
     alpha = cfg.alpha
@@ -396,18 +315,17 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray], dim: int,
     inv_a_prime = 1.0 / coefs.a_prime_coef
     c_coefs = coefs.c_coefs
     p_range = np.arange(2, n + 1, dtype=float)
-    aux_exponents = p_range - 2.0            # tau^(p-2)
-    moment_exponents = 1.0 - p_range - alpha  # tau^(1-p-alpha)
+    aux_exponents = p_range - 2.0            # t^(p-2)
+    moment_exponents = 1.0 - p_range - alpha  # t^(1-p-alpha)
     one_minus_p = 1.0 - p_range
 
     def augmented(t: float, y: np.ndarray) -> np.ndarray:
-        tau = t - a
         x = y[:dim]
         v = y[dim:].reshape(dim, n - 1)
-        weighted_moments = v @ (c_coefs * tau ** moment_exponents)
-        bracket = f(t, x) - a_coef * tau ** (-alpha) * x + weighted_moments
-        dx = bracket * (tau ** (alpha - 1.0) * inv_a_prime)
-        dv = (one_minus_p * tau ** aux_exponents)[None, :] * x[:, None]
+        weighted_moments = v @ (c_coefs * t ** moment_exponents)
+        bracket = f(t, x) - a_coef * t ** (-alpha) * x + weighted_moments
+        dx = bracket * (t ** (alpha - 1.0) * inv_a_prime)
+        dv = (one_minus_p * t ** aux_exponents)[None, :] * x[:, None]
         return np.concatenate([dx, dv.ravel()])
 
-    return AugmentedVectorField(physical_dim=dim, order_n=n, rhs=augmented)
+    return augmented

@@ -18,24 +18,21 @@ values for monomials, the third leg of the validation triangle.
     y_n = h^alpha f(t_{n-1}, y_{n-1}) - sum_{j=1}^{n} w_j y_{n-j},
 
 which collapses to explicit Euler at alpha = 1 (the weights become
-1, -1, 0, 0, ...).  Full history is kept; at desk scale (<= 1e4 nodes)
-the quadratic cost is acceptable.
+1, -1, 0, 0, ...).  Full history is kept, so the cost grows with the
+square of the node count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dengue import ModelParams, StateVector, classical_rhs
+from .dengue import ModelParams, StateVector, check_population_balance, classical_rhs
 from .expansion import SampledFunction, gamma
-from .integrate import (BlowUpError, DENGUE_COLUMNS, TimeGrid, TimeSeries,
-                        _validate_initial)
+from .integrate import BlowUpError, DENGUE_COLUMNS, TimeGrid, TimeSeries
 
 __all__ = [
-    "GlWeights",
     "gl_weights",
     "gl_derivative_at",
     "power_rule_exact",
@@ -43,32 +40,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GlWeights:
-    """Binomial difference weights w_0 ... w_n for one order alpha.
+def gl_weights(alpha: float, n: int) -> np.ndarray:
+    """Weights w_j = (-1)^j binomial(alpha, j) for j = 0 ... n.
 
     For alpha in (0, 1): w_0 = 1, every later weight is negative, and the
     partial sums stay in (0, 1), decreasing in n.
     """
-
-    alpha: float
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
-
-def gl_weights(alpha: float, n: int) -> GlWeights:
-    """Weights w_j = (-1)^j binomial(alpha, j) for j = 0 ... n."""
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    for j in range(1, n + 1):
-        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
-    return GlWeights(alpha=alpha, weights=w)
+    return np.cumprod(np.concatenate(([1.0], 1.0 - (alpha + 1.0) / np.arange(1, n + 1))))
 
 
 def gl_derivative_at(x: SampledFunction, alpha: float, index: int) -> float:
@@ -81,7 +63,7 @@ def gl_derivative_at(x: SampledFunction, alpha: float, index: int) -> float:
         raise ValueError(
             f"index must be in [1, {len(x.times) - 1}], got {index}"
         )
-    w = gl_weights(alpha, index).weights
+    w = gl_weights(alpha, index)
     h = x.step
     return float(h ** (-alpha) * (w @ x.values[index::-1]))
 
@@ -116,7 +98,7 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     """
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-    _validate_initial(params, y0)
+    check_population_balance(params, y0)
     span = grid.t_end - grid.t_start
     n = int(round(span / grid.step))
     if abs(span - n * grid.step) > 1e-6 * grid.step:
@@ -126,7 +108,7 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
         )
     ts = np.linspace(grid.t_start, grid.t_end, n + 1)
     h = span / n
-    w = gl_weights(alpha, n).weights
+    w = gl_weights(alpha, n)
     h_alpha = h ** alpha
 
     # States stored in reverse time order so each history window

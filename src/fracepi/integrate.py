@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dengue import ModelParams, StateVector, classical_rhs
+from .dengue import ModelParams, StateVector, check_population_balance, classical_rhs
 from .expansion import ExpansionConfig, expand_system
 
 __all__ = [
@@ -69,8 +69,12 @@ class TimeGrid:
             raise ValueError(f"step must be positive, got {self.step!r}")
         if self.t_start >= self.t_end:
             raise ValueError("t_start must be below t_end")
-        if (self.t_end - self.t_start) / self.step < 2:
+        steps = (self.t_end - self.t_start) / self.step
+        if steps < 2:
             raise ValueError("grid must span at least two steps")
+        if not math.isfinite(steps):
+            raise ValueError(f"grid span / step overflows: t_end = {self.t_end!r}, "
+                             f"step = {self.step!r}")
 
     def nodes(self) -> np.ndarray:
         """Node array; the final node is exactly t_end."""
@@ -158,18 +162,6 @@ def integrate_rk4(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     return TimeSeries(times=ts, values=_rk4_path(f, y0, ts))
 
 
-def _validate_initial(params: ModelParams, y0: StateVector) -> None:
-    if abs(y0.total_hosts - params.n_h) > 1e-9 * params.n_h:
-        raise ValueError(
-            f"initial host compartments sum to {y0.total_hosts!r}, expected n_h = {params.n_h!r}"
-        )
-    if abs(y0.total_mosquitoes - params.n_m) > 1e-9 * params.n_m:
-        raise ValueError(
-            f"initial mosquito compartments sum to {y0.total_mosquitoes!r}, "
-            f"expected n_m = {params.n_m!r}"
-        )
-
-
 def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
     # Report, never clamp: clamping would silently distort the
     # conservation diagnostics.
@@ -191,7 +183,7 @@ def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
 
 def simulate_classical(params: ModelParams, y0: StateVector, grid: TimeGrid) -> TimeSeries:
     """Integrate the classical model; host and mosquito totals are conserved."""
-    _validate_initial(params, y0)
+    check_population_balance(params, y0)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         return classical_rhs(t, y, params)
@@ -208,13 +200,12 @@ def aux_column_names(order_n: int) -> tuple[str, ...]:
     return tuple(f"V{p}_{name}" for name in DENGUE_COLUMNS for p in range(2, order_n + 1))
 
 
-def _startup_nodes(start: float, stop: float, origin: float) -> np.ndarray:
-    """Geometric sub-steps from start to stop, graded towards the origin."""
-    offsets = [start - origin]
-    while offsets[-1] * RAMP_FACTOR < stop - origin:
-        offsets.append(offsets[-1] * RAMP_FACTOR)
-    nodes = origin + np.array(offsets + [stop - origin])
-    return nodes
+def _startup_nodes(start: float, stop: float) -> np.ndarray:
+    """Geometric sub-steps from start to stop, graded towards t = 0."""
+    nodes = [start]
+    while nodes[-1] * RAMP_FACTOR < stop:
+        nodes.append(nodes[-1] * RAMP_FACTOR)
+    return np.array(nodes + [stop])
 
 
 def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConfig,
@@ -222,16 +213,21 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
                         keep_aux: bool = False) -> TimeSeries:
     """Integrate the fractional-order model through its augmented system.
 
-    All auxiliaries start at zero and the physical states at their t = 0
-    values; integration starts at lower_terminal + start_offset and the
-    first grid interval is crossed with graded sub-steps (see the module
-    docstring).  The returned series reports the physical compartments on
-    the requested grid, with the first node holding the initial state;
-    keep_aux=True appends the auxiliary trajectories as extra columns.
+    The grid must start at the lower terminal t = 0.  All auxiliaries start
+    at zero and the physical states at their t = 0 values; integration
+    starts at t = start_offset and the first grid interval is crossed with
+    graded sub-steps (see the module docstring).  The returned series
+    reports the physical compartments on the requested grid, with the first
+    node holding the initial state; keep_aux=True appends the auxiliary
+    trajectories as extra columns.
 
     alpha = 1 delegates to simulate_classical, so that case is identical
     to the classical run on the same grid, bit for bit.
     """
+    if grid.t_start != 0.0:
+        raise ValueError(
+            f"fractional runs start at the lower terminal t = 0, got t_start = {grid.t_start!r}"
+        )
     if cfg.alpha == 1.0:
         series = simulate_classical(params, y0, grid)
         if not keep_aux:
@@ -243,32 +239,23 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
 
     if start_offset <= 0 or not math.isfinite(start_offset):
         raise ValueError(f"start_offset must be positive and finite, got {start_offset!r}")
-    if grid.t_start < cfg.lower_terminal:
-        raise ValueError("the grid cannot start before the lower terminal")
-    _validate_initial(params, y0)
+    check_population_balance(params, y0)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         return classical_rhs(t, y, params)
 
-    field = expand_system(f, 5, cfg)
+    rhs = expand_system(f, 5, cfg)
     nodes = grid.nodes()
-    y0_aug = np.concatenate([y0.as_array(), np.zeros(5 * (cfg.order_n - 1))])
-    values = np.empty((len(nodes), field.total_dim))
-    values[0] = y0_aug
-
-    start = max(grid.t_start, cfg.lower_terminal + start_offset)
-    if start >= nodes[1]:
+    if start_offset >= nodes[1]:
         raise ValueError(
             f"start_offset = {start_offset!r} does not leave room before the "
             f"first grid node at t = {nodes[1]!r}"
         )
-    if nodes[0] >= start:
-        # Grid begins past the singular region: integrate it directly.
-        values[:] = _rk4_path(field.rhs, y0_aug, nodes)
-    else:
-        ramp = _startup_nodes(start, nodes[1], cfg.lower_terminal)
-        head = _rk4_path(field.rhs, y0_aug, ramp)
-        values[1:] = _rk4_path(field.rhs, head[-1], nodes[1:])
+    y0_aug = np.concatenate([y0.as_array(), np.zeros(5 * (cfg.order_n - 1))])
+    values = np.empty((len(nodes), len(y0_aug)))
+    values[0] = y0_aug
+    head = _rk4_path(rhs, y0_aug, _startup_nodes(start_offset, nodes[1]))
+    values[1:] = _rk4_path(rhs, head[-1], nodes[1:])
 
     if keep_aux:
         series = TimeSeries(times=nodes, values=values,

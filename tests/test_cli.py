@@ -1,7 +1,11 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracepi.cli import (ConfigError, load_scenario_config, main,
                          read_observed_csv, read_trajectory_csv,
@@ -126,6 +130,13 @@ class TestCommands:
         assert float(table["A'"]) == pytest.approx(0.423142, abs=1e-5)
         assert float(table["C_2"]) == pytest.approx(-0.282095, abs=1e-5)
 
+    def test_coeffs_high_order_weights_are_finite(self, capsys):
+        # Separate Gamma(p-1+alpha) and (p-1)! factors overflow from p = 143 on.
+        assert main(["coeffs", "--alpha", "0.5", "--order", "143"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 4 + 142
+        assert all(math.isfinite(float(line.split()[1])) for line in lines)
+
     def test_coeffs_rejects_classical_alpha(self, capsys):
         assert main(["coeffs", "--alpha", "1.0", "--order", "2"]) == 1
         assert "error: validation:" in capsys.readouterr().err
@@ -169,6 +180,14 @@ class TestCommands:
         assert err.startswith("error: numerical:")
         assert "t = " in err
 
+    def test_simulate_high_order_blow_up_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--alpha", "0.95", "--order", "200",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert len(err.splitlines()) == 1
+
     def test_fit_recovers_synthetic_alpha(self, tmp_path, capsys, obs_csv):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("t_end = 30\nstep = 0.05\n")
@@ -204,6 +223,14 @@ class TestCommands:
             rel = np.abs(series.column(column)[tail] - closed[tail]) / closed[tail]
             assert np.max(rel) < 0.02
 
+    @pytest.mark.parametrize("flag,value", [("--step", "0"), ("--t-end", "inf")])
+    def test_deriv_bad_window_exits_1(self, flag, value, capsys):
+        assert main(["deriv", "--alpha", "0.5", "--order", "5", "--function", "t",
+                     f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
@@ -236,3 +263,102 @@ class TestCommands:
 
     def test_unknown_command_exits_1(self, capsys):
         assert main(["plot"]) == 1
+
+
+# Magnitudes that every numeric flag and scenario value is also tried with.
+BAD_NUMBERS = ("0", "-1", "-0.5", "nan", "inf", "-inf", "1e308")
+ALPHAS = st.floats(0.05, 1.0)
+ORDERS = st.integers(2, 200)
+# At least 2 and at most 1 000 steps over at most 2 days, so every valid run stays small.
+T_ENDS = st.floats(0.2, 2.0)
+STEPS = st.floats(0.002, 0.1)
+SCENARIO_VALUES = {
+    "n_h": st.floats(100.0, 1e5), "m_ratio": st.floats(0.5, 5.0),
+    "bite_rate": st.floats(0.1, 1.0), "beta_mh": st.floats(0.01, 1.0),
+    "beta_hm": st.floats(0.01, 1.0), "mu_m": st.floats(0.01, 0.5),
+    "eta_h": st.floats(0.05, 1.0), "i_h0": st.floats(0.0, 100.0),
+    "r_h0": st.floats(0.0, 100.0), "i_m0": st.floats(0.0, 100.0),
+    "alpha": ALPHAS, "order_n": ORDERS, "epsilon": st.floats(1e-8, 1e-3),
+}
+
+
+def _number(valid):
+    # Three parts valid to one part bad, so that many examples get past validation.
+    return st.one_of(*[valid.map(repr)] * 3, st.sampled_from(BAD_NUMBERS))
+
+
+def _flag(name, valid):
+    return _number(valid).map(lambda value: [f"{name}={value}"])
+
+
+def _optional_flag(name, valid):
+    return st.one_of(st.just([]), _flag(name, valid))
+
+
+@st.composite
+def coeffs_argv(draw):
+    return ["coeffs"] + draw(_flag("--alpha", ALPHAS)) + draw(_flag("--order", ORDERS))
+
+
+@st.composite
+def deriv_argv(draw):
+    function = draw(st.sampled_from(["t", "const", "t2"] * 3 + ["t3"]))
+    return (["deriv", f"--function={function}"] + draw(_flag("--alpha", ALPHAS))
+            + draw(_flag("--order", ORDERS)) + draw(_optional_flag("--t-end", T_ENDS))
+            + draw(_optional_flag("--step", STEPS)))
+
+
+@st.composite
+def scenario_text(draw):
+    lines = [f"t_end = {draw(_number(T_ENDS))}", f"step = {draw(_number(STEPS))}"]
+    for key in draw(st.lists(st.sampled_from(sorted(SCENARIO_VALUES)), max_size=4,
+                             unique=True)):
+        lines.append(f"{key} = {draw(_number(SCENARIO_VALUES[key]))}")
+    if draw(st.integers(0, 3)) == 3:
+        lines.append(draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def simulate_flags(draw):
+    return (draw(_optional_flag("--alpha", ALPHAS)) + draw(_optional_flag("--order", ORDERS))
+            + draw(st.sampled_from([[], ["--include-aux"]])))
+
+
+def _assert_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    stderr = err.getvalue()
+    assert "Traceback" not in stderr
+    assert code in (0, 1, 2)
+    if code:
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        kind = "validation" if code == 1 else "numerical"
+        assert len(errors) == 1 and errors[0].startswith(f"error: {kind}: "), stderr
+
+
+_PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None,
+                              suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCliContractProperty:
+    """Any flags or scenario text end in exit 0, 1 or 2, never a traceback."""
+
+    @_PROPERTY_SETTINGS
+    @given(argv=coeffs_argv())
+    def test_coeffs(self, argv):
+        _assert_cli_contract(argv)
+
+    @_PROPERTY_SETTINGS
+    @given(argv=deriv_argv())
+    def test_deriv(self, argv):
+        _assert_cli_contract(argv)
+
+    @_PROPERTY_SETTINGS
+    @given(text=scenario_text(), flags=simulate_flags())
+    def test_simulate(self, tmp_path, text, flags):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(text, encoding="utf-8")
+        _assert_cli_contract(["simulate", "--config", str(config), *flags,
+                              "--out", str(tmp_path / "traj.csv")])

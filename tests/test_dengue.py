@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fracepi.dengue import (ModelParams, StateVector, classical_rhs,
-                            default_scenario, population_drift)
+from fracepi.dengue import (ModelParams, StateVector, check_population_balance,
+                            classical_rhs, default_scenario, population_drift)
 
 
 class TestModelParams:
@@ -52,6 +52,18 @@ class TestStateVector:
     def test_array_round_trip(self):
         y = StateVector(s_h=1.0, i_h=2.0, r_h=3.0, s_m=4.0, i_m=5.0)
         assert StateVector.from_array(y.as_array()) == y
+
+
+class TestCheckPopulationBalance:
+    def test_default_scenario_is_balanced(self, scenario):
+        check_population_balance(*scenario)
+
+    @pytest.mark.parametrize("field,total", [("r_h", "n_h"), ("i_m", "n_m")])
+    def test_names_the_unbalanced_total(self, scenario, field, total):
+        params, y0 = scenario
+        unbalanced = StateVector(**{**y0.__dict__, field: 5.0})
+        with pytest.raises(ValueError, match=f"expected {total} ="):
+            check_population_balance(params, unbalanced)
 
 
 class TestClassicalRhs:

@@ -95,6 +95,27 @@ class TestCoefficients:
         for p in range(2, 26):
             assert coeff_c(alpha, p) < 0
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999])
+    def test_recurrence_matches_gamma_ratio_formula(self, alpha):
+        # Reference: the weights written with separate Gamma(p-1+alpha) and
+        # (p-1)! factors, which stay finite up to N = 40.
+        def ratio(p):
+            return math.gamma(p - 1 + alpha) / (math.gamma(alpha) * math.factorial(p - 1))
+
+        for n in range(2, 41):
+            a = (1.0 + sum(ratio(p) for p in range(2, n + 1))) / math.gamma(1.0 - alpha)
+            ap = (1.0 + sum(ratio(p) * (alpha - 1.0) / p for p in range(1, n + 1))) \
+                / math.gamma(2.0 - alpha)
+            assert coeff_a(alpha, n) == pytest.approx(a, rel=1e-12)
+            assert coeff_a_prime(alpha, n) == pytest.approx(ap, rel=1e-12)
+            c = (alpha - 1.0) * ratio(n) / math.gamma(2.0 - alpha)
+            assert coeff_c(alpha, n) == pytest.approx(c, rel=1e-12)
+
+    def test_high_orders_stay_finite(self):
+        coefs = ExpansionCoefficients.from_config(ExpansionConfig(alpha=0.5, order_n=400))
+        assert np.all(np.isfinite(coefs.c_coefs))
+        assert np.all(coefs.c_coefs < 0)
+
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):
             coeff_a(1.0, 5)
@@ -243,14 +264,13 @@ class TestExpandSystem:
             return -x
 
         field = expand_system(f, dim, ExpansionConfig(alpha=0.6, order_n=order_n))
-        assert field.total_dim == dim * order_n
         out = field(1.0, np.ones(dim * order_n))
         assert out.shape == (dim * order_n,)
         assert np.all(np.isfinite(out))
 
     def test_five_state_order_seven_gives_35(self):
         field = expand_system(lambda t, x: -x, 5, ExpansionConfig(alpha=0.9, order_n=7))
-        assert field.total_dim == 35
+        assert field(1.0, np.ones(35)).shape == (35,)
 
     def test_classical_bypass_embeds_field_exactly(self, rng):
         def f(t, x):

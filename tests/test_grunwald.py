@@ -29,20 +29,28 @@ def _direct_partial_sum(alpha, n):
 
 class TestGlWeights:
     def test_first_weights_exact(self):
-        w = gl_weights(0.5, 3).weights
+        w = gl_weights(0.5, 3)
         assert w[0] == 1.0
         assert w[1] == -0.5
         assert w[2] == -0.125  # -0.5 * (1 - 1.5/2), by hand
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
     def test_matches_direct_binomial_product(self, alpha):
-        w = gl_weights(alpha, 40).weights
+        w = gl_weights(alpha, 40)
         for j in range(41):
             assert w[j] == pytest.approx(_direct_weight(alpha, j), rel=1e-13, abs=1e-300)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.95, 0.999, 1.0])
+    def test_equals_sequential_recurrence_bitwise(self, alpha):
+        w = np.empty(2001)
+        w[0] = 1.0
+        for j in range(1, 2001):
+            w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
+        assert np.array_equal(gl_weights(alpha, 2000), w)
+
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     def test_signs_and_partial_sums(self, alpha):
-        w = gl_weights(alpha, 1000).weights
+        w = gl_weights(alpha, 1000)
         assert np.all(w[1:] < 0)
         partial = np.cumsum(w)
         assert np.all(partial > 0)

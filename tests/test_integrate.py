@@ -28,6 +28,7 @@ class TestTimeGrid:
         dict(t_start=1.0, t_end=0.5, step=0.1),
         dict(t_start=0.0, t_end=1.0, step=-0.1),
         dict(t_start=0.0, t_end=0.1, step=0.09),
+        dict(t_start=0.0, t_end=1e308, step=0.01),
     ])
     def test_invalid_grids_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -192,6 +193,13 @@ class TestSimulateFractional:
         with pytest.raises(ValueError, match="start_offset"):
             simulate_fractional(params, y0, ExpansionConfig(0.9, 7), day100_grid,
                                 start_offset=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.0])
+    def test_rejects_grid_not_starting_at_zero(self, scenario, alpha):
+        params, y0 = scenario
+        with pytest.raises(ValueError, match="t = 0"):
+            simulate_fractional(params, y0, ExpansionConfig(alpha, 7),
+                                TimeGrid(0.5, 2.0, 0.01))
 
     def test_start_offset_must_leave_room(self, scenario):
         params, y0 = scenario
