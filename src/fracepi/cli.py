@@ -29,11 +29,12 @@ print one machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
 import sys
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -44,8 +45,8 @@ from .expansion import (ExpansionConfig, ExpansionCoefficients, SampledFunction,
                         coeff_a_prime, coeff_c, gamma)
 from .fitting import FitFailedError, FitResult, ObservedSeries, fit_alpha
 from .grunwald import gl_derivative_at, gl_simulate, power_rule_exact
-from .integrate import (BlowUpError, TimeGrid, TimeSeries, simulate_classical,
-                        simulate_fractional)
+from .integrate import (START_OFFSET, BlowUpError, TimeGrid, TimeSeries,
+                        simulate_classical, simulate_fractional)
 
 __all__ = [
     "ConfigError",
@@ -60,7 +61,7 @@ __all__ = [
     "main",
 ]
 
-_FLOAT_FMT = "{:.17g}"  # 17 significant digits: float64 round-trips exactly
+_FLOAT_FMT = "%.17g"  # 17 significant digits: float64 round-trips exactly
 
 
 class ConfigError(ValueError):
@@ -100,7 +101,7 @@ _RUN_KEYS = ("alpha", "order_n", "t_end", "step", "epsilon")
 _CONFIG_KEYS = _MODEL_KEYS + _STATE_KEYS + _RUN_KEYS
 
 _RUN_DEFAULTS = {"alpha": 1.0, "order_n": 7, "t_end": 100.0, "step": 0.01,
-                 "epsilon": 1e-6}
+                 "epsilon": START_OFFSET}
 
 
 def _parse_scenario_text(lines: Sequence[str], source: str) -> dict[str, float]:
@@ -166,12 +167,20 @@ def load_scenario_config(path: str) -> ScenarioConfig:
 # CSV formats
 # ---------------------------------------------------------------------------
 
+def _write_csv(fh: TextIO, header: Sequence[str], rows: Iterable[tuple],
+               line: str | None = None) -> None:
+    """Stream the header, then each row through one %-template (default: all floats)."""
+    fh.write(",".join(header) + "\n")
+    if line is None:
+        line = ",".join([_FLOAT_FMT] * len(header)) + "\n"
+    for row in rows:
+        fh.write(line % row)
+
+
 def write_trajectory_csv(fh: TextIO, series: TimeSeries) -> None:
     columns = series.columns or tuple(f"y{i}" for i in range(series.values.shape[1]))
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(("t",) + columns)
-    for t, row in zip(series.times, series.values):
-        writer.writerow([_FLOAT_FMT.format(t)] + [_FLOAT_FMT.format(v) for v in row])
+    _write_csv(fh, ("t",) + columns,
+               ((t, *row.tolist()) for t, row in zip(series.times, series.values)))
 
 
 def read_trajectory_csv(path: str) -> TimeSeries:
@@ -188,10 +197,7 @@ def read_trajectory_csv(path: str) -> TimeSeries:
 
 
 def write_observed_csv(fh: TextIO, obs: ObservedSeries) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(("t", "I_h_obs"))
-    for t, v in zip(obs.times, obs.infected):
-        writer.writerow((_FLOAT_FMT.format(t), _FLOAT_FMT.format(v)))
+    _write_csv(fh, ("t", "I_h_obs"), zip(obs.times, obs.infected))
 
 
 def read_observed_csv(path: str) -> ObservedSeries:
@@ -208,11 +214,9 @@ def read_observed_csv(path: str) -> ObservedSeries:
 
 
 def write_error_curve_csv(fh: TextIO, result: FitResult) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(("alpha", "error_pct", "status"))
-    for point in result.error_curve:
-        writer.writerow((_FLOAT_FMT.format(point.alpha),
-                         _FLOAT_FMT.format(point.error_pct), point.status))
+    _write_csv(fh, ("alpha", "error_pct", "status"),
+               ((p.alpha, p.error_pct, p.status) for p in result.error_curve),
+               f"{_FLOAT_FMT},{_FLOAT_FMT},%s\n")
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +226,12 @@ def write_error_curve_csv(fh: TextIO, result: FitResult) -> None:
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     cfg = ExpansionConfig(alpha=args.alpha, order_n=args.order)
     coefs = ExpansionCoefficients.from_config(cfg)
-    print(f"alpha {_FLOAT_FMT.format(cfg.alpha)}")
+    print(f"alpha {_FLOAT_FMT % cfg.alpha}")
     print(f"order {cfg.order_n}")
-    print(f"A {_FLOAT_FMT.format(coefs.a_coef)}")
-    print(f"A' {_FLOAT_FMT.format(coefs.a_prime_coef)}")
+    print(f"A {_FLOAT_FMT % coefs.a_coef}")
+    print(f"A' {_FLOAT_FMT % coefs.a_prime_coef}")
     for p in range(2, cfg.order_n + 1):
-        print(f"C_{p} {_FLOAT_FMT.format(coefs.c_coefs[p - 2])}")
+        print(f"C_{p} {_FLOAT_FMT % coefs.c_coefs[p - 2]}")
     return 0
 
 
@@ -248,15 +252,10 @@ def _cmd_deriv(args: argparse.Namespace) -> int:
     gl_vals = [gl_derivative_at(x, cfg.alpha, i) for i in range(1, len(x.times))]
     closed = [power_rule_exact(cfg.alpha, k, t) for t in ts]
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("t", "expansion", "grunwald", "closed_form"))
-        for row in zip(ts, expansion_vals, gl_vals, closed):
-            writer.writerow([_FLOAT_FMT.format(v) for v in row])
-    finally:
-        if args.out:
-            out.close()
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        _write_csv(out, ("t", "expansion", "grunwald", "closed_form"),
+                   zip(ts, expansion_vals, gl_vals, closed))
     return 0
 
 
@@ -455,7 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BlowUpError, FitFailedError) as exc:
+    except (BlowUpError, FitFailedError, FloatingPointError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

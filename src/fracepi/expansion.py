@@ -26,9 +26,10 @@ is `math.gamma` behind a pole check.
 
 Because the substitution is algebraic, a d-dimensional fractional system
 turns into an ordinary system of dimension d*N (`expand_system`), which any
-classical integrator can handle.  alpha = 1 is treated as an exact special
-case: the weights contain Gamma(1-alpha) and Gamma(alpha-1) poles there, so
-the expansion is bypassed and the original field is embedded unchanged.
+classical integrator can handle.  alpha = 1 has no expansion: the weights
+contain Gamma(1-alpha) and Gamma(alpha-1) poles there, so the weights, the
+derivative and `expand_system` reject it, and the classical bypass lives in
+`integrate.simulate_fractional`.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ DEGENERATE_A_PRIME_TOL = 1e-8
 
 _POLE_TOL = 1e-12
 
+# Largest truncation order N an ExpansionConfig accepts.
+MAX_ORDER = 1000
+
 
 def gamma(x: float) -> float:
     """Gamma function for real arguments: `math.gamma` behind a pole check.
@@ -90,9 +94,9 @@ class ExpansionConfig:
     """Order data for the derivative expansion.
 
     alpha is the fractional order; alpha = 1 selects the exact classical
-    bypass.  order_n is the truncation order N of the series (the V_p sum
-    runs over p = 2, ..., N).  The lower terminal of the derivative is
-    always t = 0.
+    bypass.  order_n is the truncation order N <= MAX_ORDER of the series
+    (the V_p sum runs over p = 2, ..., N).  The lower terminal of the
+    derivative is always t = 0.
     """
 
     alpha: float
@@ -103,21 +107,17 @@ class ExpansionConfig:
             raise ValueError(f"order_n must be an integer, got {self.order_n!r}")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must satisfy 0 < alpha <= 1, got {self.alpha!r}")
-        if self.order_n < 2:
-            raise ValueError(f"order_n must be >= 2, got {self.order_n}")
+        if not 2 <= self.order_n <= MAX_ORDER:
+            raise ValueError(f"order_n must be in [2, {MAX_ORDER}], got {self.order_n}")
 
 
-def _require_expandable(alpha: float) -> None:
+def _weights(alpha: float, order_n: int) -> tuple[float, float, np.ndarray]:
+    """(A, A', [C_2 .. C_N]) from one pass of the ratio recurrence."""
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(
             f"expansion coefficients require alpha in (0, 1), got {alpha!r}; "
             "alpha = 1 is the classical case and bypasses the expansion"
         )
-
-
-def _weights(alpha: float, order_n: int) -> tuple[float, float, np.ndarray]:
-    """(A, A', [C_2 .. C_N]) from one pass of the ratio recurrence."""
-    _require_expandable(alpha)
     if order_n < 1:
         raise ValueError(f"order_n must be >= 1, got {order_n}")
     p = np.arange(1.0, order_n + 1.0)
@@ -244,7 +244,8 @@ def approx_rl_derivative_on_grid(x: SampledFunction, cfg: ExpansionConfig) -> np
     t^(-alpha) factor is singular, so entry i - 1 of the result belongs to
     x.times[i].  x'(t) is the second-order finite difference of
     `np.gradient` (one-sided at the ends); each V_p(t) is the cumulative
-    trapezoidal quadrature of (1-p) tau^(p-2) x(tau) over [0, t].
+    trapezoidal quadrature of (1-p) tau^(p-2) x(tau) over [0, t].  A value
+    that is not finite (high orders on fine grids) raises FloatingPointError.
     """
     if cfg.alpha >= 1.0:
         raise ValueError("the pointwise expansion requires alpha < 1")
@@ -259,11 +260,15 @@ def approx_rl_derivative_on_grid(x: SampledFunction, cfg: ExpansionConfig) -> np
     result = (coefs.a_coef * ts[1:] ** (-cfg.alpha) * x.values[1:]
               + coefs.a_prime_coef * ts[1:] ** (1.0 - cfg.alpha) * derivative[1:])
     power = np.ones_like(ts)          # tau^(p-2), built incrementally
-    for p in range(2, cfg.order_n + 1):
-        integrand = (1.0 - p) * power * x.values
-        v_p = h * (np.cumsum(integrand) - 0.5 * (integrand[0] + integrand))
-        result -= coefs.c_coefs[p - 2] * ts[1:] ** (1.0 - p - cfg.alpha) * v_p[1:]
-        power = power * ts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(2, cfg.order_n + 1):
+            integrand = (1.0 - p) * power * x.values
+            v_p = h * (np.cumsum(integrand) - 0.5 * (integrand[0] + integrand))
+            result -= coefs.c_coefs[p - 2] * ts[1:] ** (1.0 - p - cfg.alpha) * v_p[1:]
+            power = power * ts
+    if not np.all(np.isfinite(result)):
+        raise FloatingPointError(f"expansion of order {cfg.order_n} is not finite on this "
+                                 "grid: t^(1-p-alpha) overflows at small t")
     return result
 
 
@@ -291,24 +296,15 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray], dim: int,
                * t^(alpha-1) / A',
 
     while each auxiliary follows V_p^k' = (1-p) t^(p-2) x_k, all starting
-    from V_p^k(0) = 0.  For alpha = 1 the original field is embedded
-    unchanged, with identically-zero auxiliary dynamics, so the classical
-    system is recovered exactly rather than in the limit.
+    from V_p^k(0) = 0.
 
-    Raises DegenerateCoefficientError when |A'| is below the safe floor.
+    Raises ValueError for alpha = 1, which has no expansion (the classical
+    bypass lives in `integrate.simulate_fractional`), and
+    DegenerateCoefficientError when |A'| is below the safe floor.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     n = cfg.order_n
-
-    if cfg.alpha == 1.0:
-        def classical_embedding(t: float, y: np.ndarray) -> np.ndarray:
-            out = np.zeros(dim * n)
-            out[:dim] = f(t, y[:dim])
-            return out
-
-        return classical_embedding
-
     coefs = ExpansionCoefficients.from_config(cfg)
     alpha = cfg.alpha
     a_coef = coefs.a_coef

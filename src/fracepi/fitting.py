@@ -24,7 +24,7 @@ import numpy as np
 
 from .dengue import ModelParams, StateVector
 from .expansion import ExpansionConfig
-from .integrate import BlowUpError, TimeGrid, TimeSeries, simulate_fractional
+from .integrate import START_OFFSET, BlowUpError, TimeGrid, TimeSeries, simulate_fractional
 
 __all__ = [
     "ObservedSeries",
@@ -114,7 +114,7 @@ def _best_point(curve: Sequence[CurvePoint]) -> CurvePoint | None:
 
 def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
               n_order: int, alpha_grid: Sequence[float], grid: TimeGrid,
-              *, start_offset: float = 1e-6) -> FitResult:
+              *, start_offset: float = START_OFFSET) -> FitResult:
     """Exhaustive search for the order that best matches the observations.
 
     alpha_grid must be sorted ascending with every value in (0, 1];
@@ -157,7 +157,7 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
 def generate_synthetic(params: ModelParams, y0: StateVector, alpha_star: float,
                        n_order: int, sample_times: Sequence[float], noise_pct: float,
                        seed: int, grid: TimeGrid,
-                       *, start_offset: float = 1e-6) -> ObservedSeries:
+                       *, start_offset: float = START_OFFSET) -> ObservedSeries:
     """Observations manufactured from the model itself, for fit-recovery tests.
 
     Simulates at the true order alpha_star, samples I_h at the grid nodes

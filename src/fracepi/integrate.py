@@ -1,13 +1,15 @@
 """Fixed-step RK4 integration and the dengue simulation drivers.
 
-The fractional driver integrates the augmented system produced by
-`expansion.expand_system`.  Its right-hand side carries t^(alpha-1) and
-t^(-alpha) factors that are singular at t = 0, so integration starts at a
-small positive offset (1e-6 days by default) with the physical states at
-their t = 0 values and every auxiliary V_p at zero.  The first grid
-interval is crossed with geometrically growing sub-steps: near the offset
-the stiff x/t terms demand steps proportional to t, and a full-size first
-step would destroy the run.
+Both simulation drivers share one body, in which one RK4 kernel writes each
+node's state into the preallocated result array.  alpha = 1 runs the
+classical field (auxiliary columns stay zero); alpha < 1 integrates the
+augmented system produced by `expansion.expand_system`.  Its right-hand
+side carries t^(alpha-1) and t^(-alpha) factors that are singular at
+t = 0, so integration starts at a small positive offset (START_OFFSET)
+with the physical states at their t = 0 values and every auxiliary V_p at
+zero.  The first grid interval is crossed with geometrically growing
+sub-steps: near the offset the stiff x/t terms demand steps proportional
+to t, and a full-size first step would destroy the run.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ RAMP_FACTOR = 2.0 ** 0.125
 # Undershoot beyond -1e-6 of the relevant population total is reported.
 UNDERSHOOT_TOL = 1e-6
 
+# Default start offset epsilon (days) of a fractional run.
+START_OFFSET = 1e-6
+
+# A TimeGrid of more nodes is rejected before any array is allocated.
+MAX_NODES = 10 ** 6
+
 
 class BlowUpError(RuntimeError):
     """A trajectory left the finite range; carries the failure time."""
@@ -75,6 +83,8 @@ class TimeGrid:
         if not math.isfinite(steps):
             raise ValueError(f"grid span / step overflows: t_end = {self.t_end!r}, "
                              f"step = {self.step!r}")
+        if steps > MAX_NODES - 1:
+            raise ValueError(f"grid of {steps:.3g} steps exceeds {MAX_NODES} nodes")
 
     def nodes(self) -> np.ndarray:
         """Node array; the final node is exactly t_end."""
@@ -127,12 +137,10 @@ class TimeSeries:
         return i if times[i] - t < t - times[i - 1] else i - 1
 
 
-def _rk4_path(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
-              ts: np.ndarray) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta over an explicit node array."""
-    y = np.array(y0, dtype=float)
-    out = np.empty((len(ts), len(y)))
-    out[0] = y
+def _rk4(f: Callable[[float, np.ndarray], np.ndarray], ts: np.ndarray,
+         out: np.ndarray) -> None:
+    """Classical fourth-order Runge-Kutta from out[0], writing the state at ts[i] to out[i]."""
+    y = out[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(ts) - 1):
             t = ts[i]
@@ -145,7 +153,6 @@ def _rk4_path(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
             if not np.all(np.isfinite(y)):
                 raise BlowUpError(time=float(ts[i + 1]), step_index=i + 1)
             out[i + 1] = y
-    return out
 
 
 def integrate_rk4(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
@@ -159,7 +166,10 @@ def integrate_rk4(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
     ts = grid.nodes()
-    return TimeSeries(times=ts, values=_rk4_path(f, y0, ts))
+    values = np.empty((len(ts), len(y0)))
+    values[0] = y0
+    _rk4(f, ts, values)
+    return TimeSeries(times=ts, values=values)
 
 
 def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
@@ -177,22 +187,13 @@ def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
             f"negative undershoot: {name} = {physical[rows[k], cols[k]]:.6g} "
             f"at t = {series.times[rows[k]]:g}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
 def simulate_classical(params: ModelParams, y0: StateVector, grid: TimeGrid) -> TimeSeries:
     """Integrate the classical model; host and mosquito totals are conserved."""
-    check_population_balance(params, y0)
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return classical_rhs(t, y, params)
-
-    ts = grid.nodes()
-    series = TimeSeries(times=ts, values=_rk4_path(f, y0.as_array(), ts),
-                        columns=DENGUE_COLUMNS)
-    _warn_undershoot(series, params)
-    return series
+    return _simulate(params, y0, grid, None, START_OFFSET, False)
 
 
 def aux_column_names(order_n: int) -> tuple[str, ...]:
@@ -200,16 +201,8 @@ def aux_column_names(order_n: int) -> tuple[str, ...]:
     return tuple(f"V{p}_{name}" for name in DENGUE_COLUMNS for p in range(2, order_n + 1))
 
 
-def _startup_nodes(start: float, stop: float) -> np.ndarray:
-    """Geometric sub-steps from start to stop, graded towards t = 0."""
-    nodes = [start]
-    while nodes[-1] * RAMP_FACTOR < stop:
-        nodes.append(nodes[-1] * RAMP_FACTOR)
-    return np.array(nodes + [stop])
-
-
 def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConfig,
-                        grid: TimeGrid, *, start_offset: float = 1e-6,
+                        grid: TimeGrid, *, start_offset: float = START_OFFSET,
                         keep_aux: bool = False) -> TimeSeries:
     """Integrate the fractional-order model through its augmented system.
 
@@ -221,41 +214,47 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     node holding the initial state; keep_aux=True appends the auxiliary
     trajectories as extra columns.
 
-    alpha = 1 delegates to simulate_classical, so that case is identical
-    to the classical run on the same grid, bit for bit.
+    alpha = 1 runs the classical field, so that case is identical to
+    simulate_classical on the same grid, bit for bit.
     """
     if grid.t_start != 0.0:
         raise ValueError(
             f"fractional runs start at the lower terminal t = 0, got t_start = {grid.t_start!r}"
         )
-    if cfg.alpha == 1.0:
-        series = simulate_classical(params, y0, grid)
-        if not keep_aux:
-            return series
-        aux = np.zeros((len(series.times), 5 * (cfg.order_n - 1)))
-        return TimeSeries(times=series.times,
-                          values=np.hstack([series.values, aux]),
-                          columns=DENGUE_COLUMNS + aux_column_names(cfg.order_n))
-
-    if start_offset <= 0 or not math.isfinite(start_offset):
+    if cfg.alpha != 1.0 and (start_offset <= 0 or not math.isfinite(start_offset)):
         raise ValueError(f"start_offset must be positive and finite, got {start_offset!r}")
+    return _simulate(params, y0, grid, cfg, start_offset, keep_aux)
+
+
+def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid, cfg: ExpansionConfig | None,
+              start_offset: float, keep_aux: bool) -> TimeSeries:
+    """The one driver body; cfg None or alpha = 1 integrates the classical field."""
     check_population_balance(params, y0)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         return classical_rhs(t, y, params)
 
-    rhs = expand_system(f, 5, cfg)
+    classical = cfg is None or cfg.alpha == 1.0
     nodes = grid.nodes()
-    if start_offset >= nodes[1]:
-        raise ValueError(
-            f"start_offset = {start_offset!r} does not leave room before the "
-            f"first grid node at t = {nodes[1]!r}"
-        )
-    y0_aug = np.concatenate([y0.as_array(), np.zeros(5 * (cfg.order_n - 1))])
-    values = np.empty((len(nodes), len(y0_aug)))
-    values[0] = y0_aug
-    head = _rk4_path(rhs, y0_aug, _startup_nodes(start_offset, nodes[1]))
-    values[1:] = _rk4_path(rhs, head[-1], nodes[1:])
+    values = np.zeros((len(nodes), 5 if classical and not keep_aux else 5 * cfg.order_n))
+    values[0, :5] = y0.as_array()
+    if classical:
+        _rk4(f, nodes, values[:, :5])
+    else:
+        rhs = expand_system(f, 5, cfg)
+        if start_offset >= nodes[1]:
+            raise ValueError(
+                f"start_offset = {start_offset!r} does not leave room before the "
+                f"first grid node at t = {nodes[1]!r}"
+            )
+        ramp = [start_offset]  # geometric sub-steps up to the first node
+        while ramp[-1] * RAMP_FACTOR < nodes[1]:
+            ramp.append(ramp[-1] * RAMP_FACTOR)
+        head = np.empty((len(ramp) + 1, values.shape[1]))
+        head[0] = values[0]
+        _rk4(rhs, np.array(ramp + [nodes[1]]), head)
+        values[1] = head[-1]
+        _rk4(rhs, nodes[1:], values[1:])
 
     if keep_aux:
         series = TimeSeries(times=nodes, values=values,

@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fracepi.cli import (ConfigError, load_scenario_config, main,
-                         read_observed_csv, read_trajectory_csv,
+                         read_observed_csv, read_trajectory_csv, write_error_curve_csv,
                          write_observed_csv, write_trajectory_csv)
-from fracepi.fitting import generate_synthetic
+from fracepi.fitting import CurvePoint, FitResult, ObservedSeries, generate_synthetic
 from fracepi.integrate import TimeGrid, TimeSeries
 
 
@@ -114,6 +114,35 @@ class TestCsvRoundTrips:
             write_observed_csv(fh, obs)
         assert path.read_bytes() == obs_csv.read_bytes()
 
+    def test_tables_match_pinned_bytes(self, capsys):
+        # Expected strings written by the csv.writer-based writers they replaced.
+        fh = io.StringIO()
+        write_trajectory_csv(fh, TimeSeries(
+            times=[-0.0, 0.1, 1e16], columns=("a", "b"),
+            values=[[5e-324, math.nan], [math.inf, -math.inf], [1 / 3, -2.5]]))
+        assert fh.getvalue() == ("t,a,b\n-0,4.9406564584124654e-324,nan\n"
+                                 "0.10000000000000001,inf,-inf\n"
+                                 "10000000000000000,0.33333333333333331,-2.5\n")
+        fh = io.StringIO()
+        write_observed_csv(fh, ObservedSeries(times=[-0.0, 0.1, 1e16],
+                                              infected=[5e-324, 0.1, 1e16]))
+        assert fh.getvalue() == ("t,I_h_obs\n-0,4.9406564584124654e-324\n"
+                                 "0.10000000000000001,0.10000000000000001\n"
+                                 "10000000000000000,10000000000000000\n")
+        fh = io.StringIO()
+        write_error_curve_csv(fh, FitResult(best_alpha=0.9, best_error_pct=0.1, error_curve=(
+            CurvePoint(0.9, 0.1, "ok"), CurvePoint(0.95, math.inf, "failed"),
+            CurvePoint(1.0, math.nan, "ok"))))
+        assert fh.getvalue() == ("alpha,error_pct,status\n"
+                                 "0.90000000000000002,0.10000000000000001,ok\n"
+                                 "0.94999999999999996,inf,failed\n1,nan,ok\n")
+        assert main(["deriv", "--alpha", "0.5", "--order", "3", "--function", "t2",
+                     "--t-end", "0.02", "--step", "0.01"]) == 0
+        assert capsys.readouterr().out == (
+            "t,expansion,grunwald,closed_form\n"
+            "0.01,0.0014104739588693908,0.001,0.0015045055561273501\n"
+            "0.02,0.0043135634068404921,0.0035000000000000001,0.0042553843242819477\n")
+
     def test_observed_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,cases\n1,2\n")
@@ -180,6 +209,15 @@ class TestCommands:
         assert err.startswith("error: numerical:")
         assert "t = " in err
 
+    def test_simulate_huge_grid_exits_1(self, tmp_path, capsys):
+        # 1e13 nodes: rejected by validation before anything is allocated.
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("t_end = 1e11\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+
     def test_simulate_high_order_blow_up_exits_2(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--alpha", "0.95", "--order", "200",
@@ -230,6 +268,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: validation:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_deriv_non_finite_expansion_exits_2(self, capsys):
+        # t^(1-p-alpha) overflows at t = 0.001 for p up to 143.
+        assert main(["deriv", "--alpha", "0.5", "--order", "143", "--function", "t",
+                     "--step", "0.001"]) == 2
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert captured.err.startswith("error: numerical:")
+        assert len(captured.err.splitlines()) == 1
 
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == 0

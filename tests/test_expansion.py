@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracepi.expansion import (DegenerateCoefficientError, ExpansionCoefficients,
+from fracepi.expansion import (MAX_ORDER, DegenerateCoefficientError, ExpansionCoefficients,
                                ExpansionConfig, PoleError, SampledFunction,
                                approx_rl_derivative, coeff_a, coeff_a_prime,
                                coeff_c, expand_system, gamma)
@@ -146,7 +146,7 @@ class TestExpansionConfig:
         with pytest.raises(ValueError):
             ExpansionConfig(alpha=alpha, order_n=5)
 
-    @pytest.mark.parametrize("order_n", [1, 0, -3])
+    @pytest.mark.parametrize("order_n", [1, 0, -3, MAX_ORDER + 1])
     def test_order_bounds(self, order_n):
         with pytest.raises(ValueError):
             ExpansionConfig(alpha=0.5, order_n=order_n)
@@ -272,17 +272,10 @@ class TestExpandSystem:
         field = expand_system(lambda t, x: -x, 5, ExpansionConfig(alpha=0.9, order_n=7))
         assert field(1.0, np.ones(35)).shape == (35,)
 
-    def test_classical_bypass_embeds_field_exactly(self, rng):
-        def f(t, x):
-            return np.array([x[1], -2.0 * x[0] + t])
-
-        field = expand_system(f, 2, ExpansionConfig(alpha=1.0, order_n=4))
-        for _ in range(20):
-            t = rng.uniform(0.1, 5.0)
-            y = rng.uniform(-3.0, 3.0, 8)
-            out = field(t, y)
-            assert np.array_equal(out[:2], f(t, y[:2]))
-            assert np.all(out[2:] == 0.0)
+    def test_rejects_classical_alpha(self):
+        # alpha = 1 has no expansion; the classical bypass lives in simulate_fractional.
+        with pytest.raises(ValueError, match=r"alpha in \(0, 1\)"):
+            expand_system(lambda t, x: -x, 2, ExpansionConfig(alpha=1.0, order_n=4))
 
     def test_rhs_matches_hand_assembled_formula(self):
         # One-state system checked against the defining formula assembled

@@ -5,7 +5,7 @@ import pytest
 
 from fracepi.dengue import population_drift
 from fracepi.expansion import ExpansionConfig
-from fracepi.integrate import (BlowUpError, TimeGrid, TimeSeries, aux_column_names,
+from fracepi.integrate import (MAX_NODES, BlowUpError, TimeGrid, TimeSeries, aux_column_names,
                                integrate_rk4, simulate_classical, simulate_fractional)
 
 
@@ -29,10 +29,17 @@ class TestTimeGrid:
         dict(t_start=0.0, t_end=1.0, step=-0.1),
         dict(t_start=0.0, t_end=0.1, step=0.09),
         dict(t_start=0.0, t_end=1e308, step=0.01),
+        dict(t_start=0.0, t_end=1e11, step=0.01),
     ])
     def test_invalid_grids_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TimeGrid(**kwargs)
+
+    def test_node_limit_is_checked_before_allocation(self):
+        # Construction only: nodes() would allocate the array.
+        TimeGrid(t_start=0.0, t_end=MAX_NODES - 1.0, step=1.0)
+        with pytest.raises(ValueError, match="exceeds"):
+            TimeGrid(t_start=0.0, t_end=float(MAX_NODES), step=1.0)
 
 
 class TestTimeSeries:
