@@ -27,8 +27,8 @@ from .expansion import (DegenerateCoefficientError, ExpansionCoefficients,
 from .fitting import (CurvePoint, FitFailedError, FitResult, ObservedSeries,
                       fit_alpha, generate_synthetic, percentage_error)
 from .grunwald import gl_derivative_at, gl_simulate, gl_weights, power_rule_exact
-from .integrate import (BlowUpError, TimeGrid, TimeSeries, integrate_rk4,
-                        simulate_classical, simulate_fractional)
+from .integrate import (BlowUpError, TimeGrid, TimeSeries, simulate_classical,
+                        simulate_fractional)
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "gl_derivative_at",
     "gl_simulate",
     "gl_weights",
-    "integrate_rk4",
     "percentage_error",
     "population_drift",
     "simulate_classical",

@@ -34,7 +34,7 @@ import csv
 import dataclasses
 import math
 import sys
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -177,22 +177,41 @@ def _write_csv(fh: TextIO, header: Sequence[str], rows: Iterable[tuple],
         fh.write(line % row)
 
 
+def _read_csv(path: str, header_error: Callable[[list[str] | None], str | None]
+              ) -> tuple[list[str], np.ndarray]:
+    """The header and the (rows, columns) float array of a CSV file.
+
+    header_error returns the complaint about a wrong header, or None; it
+    is consulted before any row is parsed.  Every row must have one field
+    per header column.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        complaint = header_error(header)
+        if complaint:
+            raise ValueError(f"{path}: {complaint}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                 f"fields, got {len(row)}")
+            rows.append([float(cell) for cell in row])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, np.array(rows)
+
+
 def write_trajectory_csv(fh: TextIO, series: TimeSeries) -> None:
-    columns = series.columns or tuple(f"y{i}" for i in range(series.values.shape[1]))
-    _write_csv(fh, ("t",) + columns,
+    _write_csv(fh, ("t",) + series.columns,
                ((t, *row.tolist()) for t, row in zip(series.times, series.values)))
 
 
 def read_trajectory_csv(path: str) -> TimeSeries:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "t":
-            raise ValueError(f"{path}: expected a trajectory CSV with a 't' column first")
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
+    header, data = _read_csv(path, lambda header: None if header and header[0] == "t"
+                             else "expected a trajectory CSV with a 't' column first")
     return TimeSeries(times=data[:, 0], values=data[:, 1:], columns=tuple(header[1:]))
 
 
@@ -201,16 +220,9 @@ def write_observed_csv(fh: TextIO, obs: ObservedSeries) -> None:
 
 
 def read_observed_csv(path: str) -> ObservedSeries:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "I_h_obs"]:
-            raise ValueError(f"{path}: expected header 't,I_h_obs', got {header!r}")
-        rows = [(float(row[0]), float(row[1])) for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    times, infected = zip(*rows)
-    return ObservedSeries(times=np.array(times), infected=np.array(infected))
+    _, data = _read_csv(path, lambda header: None if header == ["t", "I_h_obs"]
+                        else f"expected header 't,I_h_obs', got {header!r}")
+    return ObservedSeries(times=data[:, 0], infected=data[:, 1])
 
 
 def write_error_curve_csv(fh: TextIO, result: FitResult) -> None:
@@ -244,9 +256,9 @@ _DERIV_FUNCTIONS = {
 
 def _cmd_deriv(args: argparse.Namespace) -> int:
     cfg = ExpansionConfig(alpha=args.alpha, order_n=args.order)
-    TimeGrid(t_start=0.0, t_end=args.t_end, step=args.step)  # validates the window
+    nodes = TimeGrid(t_start=0.0, t_end=args.t_end, step=args.step).nodes()
     fn, k = _DERIV_FUNCTIONS[args.function]
-    x = SampledFunction.from_function(fn, 0.0, args.t_end, round(args.t_end / args.step) + 1)
+    x = SampledFunction(times=nodes, values=fn(nodes))  # rejects a partial last step
     ts = x.times[1:]
     expansion_vals = approx_rl_derivative_on_grid(x, cfg)
     gl_vals = [gl_derivative_at(x, cfg.alpha, i) for i in range(1, len(x.times))]

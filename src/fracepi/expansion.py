@@ -179,10 +179,6 @@ class ExpansionCoefficients:
                 "the augmented system would divide by ~0"
             )
 
-    @property
-    def order_n(self) -> int:
-        return len(self.c_coefs) + 1
-
     @classmethod
     def from_config(cls, cfg: ExpansionConfig) -> "ExpansionCoefficients":
         """Weights for cfg; alpha = 1 has none (gamma poles) and is rejected."""
@@ -214,8 +210,10 @@ class SampledFunction:
         if np.any(steps <= 0):
             raise ValueError("times must be strictly increasing")
         h = steps[0]
-        if np.max(np.abs(steps - h)) > 1e-9 * h:
-            raise ValueError("times must be uniformly spaced")
+        worst = np.argmax(np.abs(steps - h))
+        if abs(steps[worst] - h) > 1e-9 * h:
+            raise ValueError(f"times must be uniformly spaced, got steps of {h:g} "
+                             f"and {steps[worst]:g}")
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], start: float,
@@ -283,14 +281,15 @@ def approx_rl_derivative(x: SampledFunction, cfg: ExpansionConfig, t: float) -> 
     return float(approx_rl_derivative_on_grid(x, cfg)[i - 1])
 
 
-def expand_system(f: Callable[[float, np.ndarray], np.ndarray], dim: int,
+def expand_system(f: Callable[[float, np.ndarray], np.ndarray],
                   cfg: ExpansionConfig) -> Callable[[float, np.ndarray], np.ndarray]:
     """Turn the fractional system D^alpha x = f(t, x) into an ordinary one.
 
-    The returned right-hand side acts on states of dimension dim * N: the
-    first dim entries are the physical states, then, for each physical
-    state in order, its auxiliaries V_2, ..., V_N.  For alpha < 1 the
-    physical states obey
+    The returned right-hand side acts on states y of dimension d * N, and
+    infers the physical dimension d = len(y) // N from the state it is
+    called with: the first d entries are the physical states, then, for
+    each physical state in order, its auxiliaries V_2, ..., V_N.  For
+    alpha < 1 the physical states obey
 
         x_k' = [f_k(t, x) - A t^(-alpha) x_k + sum_p C_p t^(1-p-alpha) V_p^k]
                * t^(alpha-1) / A',
@@ -302,8 +301,6 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray], dim: int,
     bypass lives in `integrate.simulate_fractional`), and
     DegenerateCoefficientError when |A'| is below the safe floor.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     n = cfg.order_n
     coefs = ExpansionCoefficients.from_config(cfg)
     alpha = cfg.alpha
@@ -316,6 +313,7 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray], dim: int,
     one_minus_p = 1.0 - p_range
 
     def augmented(t: float, y: np.ndarray) -> np.ndarray:
+        dim = len(y) // n
         x = y[:dim]
         v = y[dim:].reshape(dim, n - 1)
         weighted_moments = v @ (c_coefs * t ** moment_exponents)

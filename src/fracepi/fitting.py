@@ -103,13 +103,7 @@ def percentage_error(predicted: TimeSeries, obs: ObservedSeries) -> float:
 
 def _best_point(curve: Sequence[CurvePoint]) -> CurvePoint | None:
     """Argmin over the curve; ties break towards the smallest alpha."""
-    best = None
-    for point in curve:
-        if point.status != "ok":
-            continue
-        if best is None or point.error_pct < best.error_pct:
-            best = point
-    return best
+    return min((p for p in curve if p.status == "ok"), key=lambda p: p.error_pct, default=None)
 
 
 def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,

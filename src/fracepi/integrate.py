@@ -1,7 +1,8 @@
-"""Fixed-step RK4 integration and the dengue simulation drivers.
+"""The dengue simulation drivers: one body, one fixed-step RK4 kernel.
 
-Both simulation drivers share one body, in which one RK4 kernel writes each
-node's state into the preallocated result array.  alpha = 1 runs the
+`simulate_classical` and `simulate_fractional` share one body, in which the
+RK4 kernel writes each node's state into the preallocated result array;
+there is no general-purpose ODE integrator.  alpha = 1 runs the
 classical field (auxiliary columns stay zero); alpha < 1 integrates the
 augmented system produced by `expansion.expand_system`.  Its right-hand
 side carries t^(alpha-1) and t^(-alpha) factors that are singular at
@@ -29,7 +30,6 @@ __all__ = [
     "TimeGrid",
     "TimeSeries",
     "DENGUE_COLUMNS",
-    "integrate_rk4",
     "simulate_classical",
     "simulate_fractional",
     "aux_column_names",
@@ -53,7 +53,11 @@ MAX_NODES = 10 ** 6
 
 
 class BlowUpError(RuntimeError):
-    """A trajectory left the finite range; carries the failure time."""
+    """A trajectory left the finite range.
+
+    Carries the failure time and step_index, the index of the grid node the
+    run failed to reach (1 when it fails in the start-up ramp).
+    """
 
     def __init__(self, time: float, step_index: int):
         super().__init__(f"non-finite state at t = {time:g} (step {step_index})")
@@ -104,7 +108,7 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    columns: tuple[str, ...] | None = None
+    columns: tuple[str, ...]
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -113,12 +117,10 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or len(times) != values.shape[0]:
             raise ValueError("values must be a (num_nodes, dim) array")
-        if self.columns is not None and len(self.columns) != values.shape[1]:
+        if len(self.columns) != values.shape[1]:
             raise ValueError("column names must match the state dimension")
 
     def column(self, name: str) -> np.ndarray:
-        if self.columns is None:
-            raise ValueError("series has no column names")
         return self.values[:, self.columns.index(name)]
 
     def nearest_index(self, t: float) -> int:
@@ -150,26 +152,9 @@ def _rk4(f: Callable[[float, np.ndarray], np.ndarray], ts: np.ndarray,
             k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
             k4 = f(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise BlowUpError(time=float(ts[i + 1]), step_index=i + 1)
             out[i + 1] = y
-
-
-def integrate_rk4(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
-                  grid: TimeGrid) -> TimeSeries:
-    """Integrate y' = f(t, y) from y(t_start) = y0 over the grid.
-
-    Raises BlowUpError (with the offending time) the moment any state
-    component becomes non-finite; no silent NaN propagation.
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("initial state must be finite")
-    ts = grid.nodes()
-    values = np.empty((len(ts), len(y0)))
-    values[0] = y0
-    _rk4(f, ts, values)
-    return TimeSeries(times=ts, values=values)
 
 
 def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
@@ -238,23 +223,28 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid, cfg: Expansi
     nodes = grid.nodes()
     values = np.zeros((len(nodes), 5 if classical and not keep_aux else 5 * cfg.order_n))
     values[0, :5] = y0.as_array()
-    if classical:
-        _rk4(f, nodes, values[:, :5])
-    else:
-        rhs = expand_system(f, 5, cfg)
-        if start_offset >= nodes[1]:
-            raise ValueError(
-                f"start_offset = {start_offset!r} does not leave room before the "
-                f"first grid node at t = {nodes[1]!r}"
-            )
-        ramp = [start_offset]  # geometric sub-steps up to the first node
-        while ramp[-1] * RAMP_FACTOR < nodes[1]:
-            ramp.append(ramp[-1] * RAMP_FACTOR)
-        head = np.empty((len(ramp) + 1, values.shape[1]))
-        head[0] = values[0]
-        _rk4(rhs, np.array(ramp + [nodes[1]]), head)
-        values[1] = head[-1]
-        _rk4(rhs, nodes[1:], values[1:])
+    try:
+        if classical:
+            _rk4(f, nodes, values[:, :5])
+        else:
+            rhs = expand_system(f, cfg)
+            if start_offset >= nodes[1]:
+                raise ValueError(
+                    f"start_offset = {start_offset!r} does not leave room before the "
+                    f"first grid node at t = {nodes[1]!r}"
+                )
+            ramp = [start_offset]  # geometric sub-steps up to the first node
+            while ramp[-1] * RAMP_FACTOR < nodes[1]:
+                ramp.append(ramp[-1] * RAMP_FACTOR)
+            head = np.empty((len(ramp) + 1, values.shape[1]))
+            head[0] = values[0]
+            _rk4(rhs, np.array(ramp + [nodes[1]]), head)
+            values[1] = head[-1]
+            _rk4(rhs, nodes[1:], values[1:])
+    except BlowUpError as exc:
+        # The kernel counts steps within the array it was given (a ramp, or
+        # the grid from node 1); report the grid node the run failed to reach.
+        raise BlowUpError(exc.time, int(np.searchsorted(nodes, exc.time))) from None
 
     if keep_aux:
         series = TimeSeries(times=nodes, values=values,

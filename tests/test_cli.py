@@ -149,6 +149,12 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match="I_h_obs"):
             read_observed_csv(str(path))
 
+    def test_row_width_enforced(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("t,I_h_obs\n1,2\n2\n")
+        with pytest.raises(ValueError, match=r"short.csv:3: expected 2 fields, got 1"):
+            read_observed_csv(str(path))
+
 
 class TestCommands:
     def test_coeffs_prints_hand_values(self, capsys):
@@ -260,6 +266,16 @@ class TestCommands:
         for column in ("expansion", "grunwald"):
             rel = np.abs(series.column(column)[tail] - closed[tail]) / closed[tail]
             assert np.max(rel) < 0.02
+
+    def test_deriv_partial_last_step_exits_1(self, capsys):
+        # 1 / 0.3 is not a whole number of steps: no silent change of the step.
+        assert main(["deriv", "--alpha", "0.5", "--order", "3", "--function", "t",
+                     "--t-end", "1", "--step", "0.3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: validation:")
+        assert len(captured.err.splitlines()) == 1
+        assert "steps of 0.3 and 0.1" in captured.err
 
     @pytest.mark.parametrize("flag,value", [("--step", "0"), ("--t-end", "inf")])
     def test_deriv_bad_window_exits_1(self, flag, value, capsys):

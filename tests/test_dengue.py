@@ -51,7 +51,7 @@ class TestStateVector:
 
     def test_array_round_trip(self):
         y = StateVector(s_h=1.0, i_h=2.0, r_h=3.0, s_m=4.0, i_m=5.0)
-        assert StateVector.from_array(y.as_array()) == y
+        assert StateVector(*y.as_array()) == y
 
 
 class TestCheckPopulationBalance:

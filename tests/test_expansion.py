@@ -127,7 +127,7 @@ class TestCoefficients:
         coefs = ExpansionCoefficients.from_config(cfg)
         assert coefs.a_coef == coeff_a(0.7, 9)
         assert coefs.a_prime_coef == coeff_a_prime(0.7, 9)
-        assert coefs.order_n == 9
+        assert len(coefs.c_coefs) == 8
         for p in range(2, 10):
             assert coefs.c_coefs[p - 2] == coeff_c(0.7, p)
 
@@ -263,19 +263,19 @@ class TestExpandSystem:
         def f(t, x):
             return -x
 
-        field = expand_system(f, dim, ExpansionConfig(alpha=0.6, order_n=order_n))
+        field = expand_system(f, ExpansionConfig(alpha=0.6, order_n=order_n))
         out = field(1.0, np.ones(dim * order_n))
         assert out.shape == (dim * order_n,)
         assert np.all(np.isfinite(out))
 
     def test_five_state_order_seven_gives_35(self):
-        field = expand_system(lambda t, x: -x, 5, ExpansionConfig(alpha=0.9, order_n=7))
+        field = expand_system(lambda t, x: -x, ExpansionConfig(alpha=0.9, order_n=7))
         assert field(1.0, np.ones(35)).shape == (35,)
 
     def test_rejects_classical_alpha(self):
         # alpha = 1 has no expansion; the classical bypass lives in simulate_fractional.
         with pytest.raises(ValueError, match=r"alpha in \(0, 1\)"):
-            expand_system(lambda t, x: -x, 2, ExpansionConfig(alpha=1.0, order_n=4))
+            expand_system(lambda t, x: -x, ExpansionConfig(alpha=1.0, order_n=4))
 
     def test_rhs_matches_hand_assembled_formula(self):
         # One-state system checked against the defining formula assembled
@@ -286,7 +286,7 @@ class TestExpandSystem:
         def f(t, x):
             return np.array([0.25 * x[0] + t])
 
-        field = expand_system(f, 1, cfg)
+        field = expand_system(f, cfg)
         t, x, v2, v3 = 2.0, 1.7, 0.3, -0.2
         a = coeff_a(alpha, n)
         ap = coeff_a_prime(alpha, n)
@@ -301,4 +301,4 @@ class TestExpandSystem:
 
     def test_degenerate_coefficients_propagate(self):
         with pytest.raises(DegenerateCoefficientError):
-            expand_system(lambda t, x: -x, 1, ExpansionConfig(alpha=1e-8, order_n=7))
+            expand_system(lambda t, x: -x, ExpansionConfig(alpha=1e-8, order_n=7))

@@ -5,8 +5,17 @@ import pytest
 
 from fracepi.dengue import population_drift
 from fracepi.expansion import ExpansionConfig
-from fracepi.integrate import (MAX_NODES, BlowUpError, TimeGrid, TimeSeries, aux_column_names,
-                               integrate_rk4, simulate_classical, simulate_fractional)
+from fracepi.integrate import (MAX_NODES, BlowUpError, TimeGrid, TimeSeries, _rk4,
+                               aux_column_names, simulate_classical, simulate_fractional)
+
+
+def _rk4_values(f, y0, grid):
+    """The RK4 kernel's trajectory of y' = f(t, y) from y0 over the grid's nodes."""
+    ts = grid.nodes()
+    values = np.empty((len(ts), len(y0)))
+    values[0] = y0
+    _rk4(f, ts, values)
+    return values
 
 
 class TestTimeGrid:
@@ -50,7 +59,7 @@ class TestTimeSeries:
 
     def test_nearest_index(self):
         series = TimeSeries(times=np.linspace(0.0, 10.0, 101),
-                            values=np.zeros((101, 1)))
+                            values=np.zeros((101, 1)), columns=("a",))
         assert series.nearest_index(0.0) == 0
         assert series.nearest_index(5.04) == 50
         assert series.nearest_index(5.06) == 51
@@ -61,25 +70,24 @@ class TestTimeSeries:
 
 class TestIntegrateRk4:
     def test_exponential_decay(self):
-        series = integrate_rk4(lambda t, y: -y, np.array([1.0]),
-                               TimeGrid(0.0, 1.0, 0.1))
-        assert series.values[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-6)
+        values = _rk4_values(lambda t, y: -y, np.array([1.0]), TimeGrid(0.0, 1.0, 0.1))
+        assert values[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_zero_field_is_constant(self):
-        series = integrate_rk4(lambda t, y: np.zeros(3), np.array([1.0, -2.0, 5.0]),
-                               TimeGrid(0.0, 5.0, 0.5))
-        assert np.all(series.values == series.values[0])
+        values = _rk4_values(lambda t, y: np.zeros(3), np.array([1.0, -2.0, 5.0]),
+                             TimeGrid(0.0, 5.0, 0.5))
+        assert np.all(values == values[0])
 
     def test_quadrature_of_t_squared_is_exact(self):
         # RK4's increment reduces to Simpson's rule here, exact for cubics.
-        series = integrate_rk4(lambda t, y: np.array([t * t]), np.array([0.0]),
-                               TimeGrid(0.0, 1.0, 0.1))
-        assert series.values[-1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        values = _rk4_values(lambda t, y: np.array([t * t]), np.array([0.0]),
+                             TimeGrid(0.0, 1.0, 0.1))
+        assert values[-1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_blow_up_carries_time(self):
         # y' = y^2 from y(0) = 2 leaves the finite range near t = 0.5.
         with pytest.raises(BlowUpError) as exc_info:
-            integrate_rk4(lambda t, y: y * y, np.array([2.0]), TimeGrid(0.0, 1.0, 0.01))
+            _rk4_values(lambda t, y: y * y, np.array([2.0]), TimeGrid(0.0, 1.0, 0.01))
         assert 0.0 < exc_info.value.time <= 1.0
 
 
@@ -162,6 +170,25 @@ class TestSimulateFractional:
             simulate_fractional(params, y0, ExpansionConfig(0.3, 7),
                                 TimeGrid(0.0, 100.0, 2.0))
         assert 0.0 < exc_info.value.time <= 100.0
+
+    @pytest.mark.parametrize("alpha, order_n, time, step_index", [
+        (0.9, 41, 0.13, 13),     # in the grid body
+        (0.8, 40, 0.06, 6),      # in the grid body
+        (0.7, 50, None, 1),      # in the start-up ramp, before the first node
+    ])
+    def test_blow_up_step_is_the_node_not_reached(self, scenario, alpha, order_n, time,
+                                                  step_index):
+        params, y0 = scenario
+        with pytest.raises(BlowUpError) as exc_info:
+            simulate_fractional(params, y0, ExpansionConfig(alpha, order_n),
+                                TimeGrid(0.0, 1.0, 0.01))
+        err = exc_info.value
+        assert err.step_index == step_index
+        assert f"(step {step_index})" in str(err)
+        if time is None:
+            assert 0.0 < err.time < 0.01
+        else:
+            assert err.time == pytest.approx(time, abs=1e-12)
 
     def test_undershoot_reported_not_clamped(self, scenario):
         # A deliberately coarse grid drives compartments far negative; the
