@@ -26,7 +26,8 @@ from .expansion import (DegenerateCoefficientError, ExpansionCoefficients,
                         coeff_a, coeff_a_prime, coeff_c, expand_system, gamma)
 from .fitting import (CurvePoint, FitFailedError, FitResult, ObservedSeries,
                       fit_alpha, generate_synthetic, percentage_error)
-from .grunwald import gl_derivative_at, gl_simulate, gl_weights, power_rule_exact
+from .grunwald import (gl_derivative_at, gl_derivative_on_grid, gl_simulate, gl_weights,
+                       power_rule_exact)
 from .integrate import (BlowUpError, TimeGrid, TimeSeries, simulate_classical,
                         simulate_fractional)
 
@@ -60,6 +61,7 @@ __all__ = [
     "gamma",
     "generate_synthetic",
     "gl_derivative_at",
+    "gl_derivative_on_grid",
     "gl_simulate",
     "gl_weights",
     "percentage_error",

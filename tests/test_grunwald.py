@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fracepi.dengue import classical_rhs
+from fracepi.dengue import StateVector, classical_rhs
 from fracepi.expansion import ExpansionConfig, SampledFunction
-from fracepi.grunwald import (gl_derivative_at, gl_simulate, gl_weights,
-                              power_rule_exact)
+from fracepi.grunwald import (_BLOCK, _CHUNK, gl_derivative_at, gl_derivative_on_grid,
+                              gl_simulate, gl_weights, power_rule_exact)
 from fracepi.integrate import BlowUpError, TimeGrid, simulate_fractional
 
 
@@ -25,6 +26,25 @@ def _direct_partial_sum(alpha, n):
     for i in range(1, n + 1):
         value *= (alpha - 1.0 - i + 1) / i
     return (-1) ** n * value
+
+
+def _direct_gl_simulate(params, y0, alpha, grid):
+    # The stepper with the whole history summed directly at every node: the
+    # O(n^2) reference for the blocked FFT history.
+    n = int(round((grid.t_end - grid.t_start) / grid.step))
+    ts = np.linspace(grid.t_start, grid.t_end, n + 1)
+    h_alpha = ((grid.t_end - grid.t_start) / n) ** alpha
+    w = gl_weights(alpha, n)
+    buf = np.zeros((n + 1, 5))          # reverse time order
+    buf[n] = y0.as_array()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            history = w[1:k + 1] @ buf[n - k + 1:n + 1]
+            y = h_alpha * classical_rhs(ts[k - 1], buf[n - k + 1], params) - history
+            if not np.all(np.isfinite(y)):
+                raise BlowUpError(time=float(ts[k]), step_index=k)
+            buf[n - k] = y
+    return buf[::-1]
 
 
 class TestGlWeights:
@@ -113,6 +133,26 @@ class TestGlDerivativeAt:
             gl_derivative_at(x, 0.5, 11)
 
 
+class TestGlDerivativeOnGrid:
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_matches_direct_sums(self, alpha):
+        # More nodes than one history chunk, so several transforms add up.
+        num = 2 * _CHUNK + 7
+        x = SampledFunction.from_function(np.exp, 0.0, 2.0, num)
+        w = gl_weights(alpha, num - 1)
+        direct = np.array([w[:k + 1] @ x.values[k::-1] for k in range(1, num)])
+        expected = x.step ** (-alpha) * direct
+        got = gl_derivative_on_grid(x, alpha)
+        np.testing.assert_allclose(got, expected, rtol=1e-11)
+        # The first block has no older nodes: its entries are the direct sums.
+        assert np.array_equal(got[:_BLOCK], expected[:_BLOCK])
+
+    def test_at_is_an_entry_of_the_grid(self):
+        x = SampledFunction.from_function(lambda t: t ** 2, 0.0, 1.0, 101)
+        grid = gl_derivative_on_grid(x, 0.5)
+        assert [gl_derivative_at(x, 0.5, i) for i in (1, 50, 100)] == list(grid[[0, 49, 99]])
+
+
 class TestPowerRuleExact:
     def test_known_values(self):
         sqrt_pi = math.sqrt(math.pi)
@@ -133,8 +173,10 @@ class TestPowerRuleExact:
 
 class TestGlSimulate:
     def test_classical_order_is_explicit_euler_bitwise(self, scenario):
+        # More than three history blocks, so the FFT far field runs too.
         params, y0 = scenario
-        grid = TimeGrid(0.0, 10.0, 0.05)
+        grid = TimeGrid(0.0, 160.0, 0.05)
+        assert 160.0 / 0.05 > 3 * _BLOCK
         series = gl_simulate(params, y0, 1.0, grid)
         ts = series.times
         h = (grid.t_end - grid.t_start) / (len(ts) - 1)
@@ -144,6 +186,15 @@ class TestGlSimulate:
             y = h ** 1.0 * classical_rhs(ts[i], y, params) - (-1.0) * y
             expected.append(y.copy())
         assert np.array_equal(series.values, np.array(expected))
+
+    @pytest.mark.parametrize("steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.97])
+    def test_blocked_history_matches_direct_sum(self, scenario, alpha, steps):
+        params, y0 = scenario
+        grid = TimeGrid(0.0, steps * 0.01, 0.01)
+        series = gl_simulate(params, y0, alpha, grid)
+        np.testing.assert_allclose(series.values,
+                                   _direct_gl_simulate(params, y0, alpha, grid), rtol=1e-11)
 
     def test_single_interior_peak_confirmed_by_halving(self, scenario):
         params, y0 = scenario
@@ -190,3 +241,18 @@ class TestGlSimulate:
         with pytest.raises(BlowUpError) as exc_info:
             gl_simulate(params, y0, 0.9, TimeGrid(0.0, 1000.0, 10.0))
         assert 0.0 < exc_info.value.time <= 1000.0
+
+    def test_blow_up_past_first_blocks_matches_direct_sum(self, scenario):
+        # A fast recovery rate makes the step explicitly unstable, and a seed
+        # of 1e-100 infections delays the overflow past three blocks.
+        params, _ = scenario
+        stiff = dataclasses.replace(params, eta_h=20.0)
+        y0 = StateVector(params.n_h - 1e-100, 1e-100, 0.0, params.n_m, 0.0)
+        grid = TimeGrid(0.0, 375.0, 0.075)
+        with pytest.raises(BlowUpError) as direct:
+            _direct_gl_simulate(stiff, y0, 0.9, grid)
+        with pytest.raises(BlowUpError) as blocked:
+            gl_simulate(stiff, y0, 0.9, grid)
+        assert direct.value.step_index > 3 * _BLOCK
+        assert blocked.value.step_index == direct.value.step_index
+        assert blocked.value.time == direct.value.time
