@@ -14,6 +14,7 @@ Main entry points:
     default_scenario()       the baseline dengue outbreak setup
     simulate_classical(...)  integer-order run
     simulate_fractional(...) fractional-order run via the expansion
+    simulate_batch(...)      several orders through the expansion at once
     gl_simulate(...)         fractional-order run via backward differences
     fit_alpha(...)           exhaustive search for the best order
 """
@@ -28,8 +29,8 @@ from .fitting import (CurvePoint, FitFailedError, FitResult, ObservedSeries,
                       fit_alpha, generate_synthetic, percentage_error)
 from .grunwald import (gl_derivative_at, gl_derivative_on_grid, gl_simulate, gl_weights,
                        power_rule_exact)
-from .integrate import (BlowUpError, TimeGrid, TimeSeries, simulate_classical,
-                        simulate_fractional)
+from .integrate import (BlowUpError, TimeGrid, TimeSeries, simulate_batch,
+                        simulate_classical, simulate_fractional)
 
 __version__ = "0.1.0"
 
@@ -66,6 +67,7 @@ __all__ = [
     "gl_weights",
     "percentage_error",
     "population_drift",
+    "simulate_batch",
     "simulate_classical",
     "simulate_fractional",
 ]

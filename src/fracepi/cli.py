@@ -42,10 +42,10 @@ from .dengue import (ModelParams, StateVector, check_population_balance, classic
                      default_scenario)
 from .expansion import (ExpansionConfig, ExpansionCoefficients, SampledFunction,
                         approx_rl_derivative, approx_rl_derivative_on_grid, coeff_a,
-                        coeff_a_prime, coeff_c, gamma)
+                        coeff_a_prime, coeff_c)
 from .fitting import FitFailedError, FitResult, ObservedSeries, fit_alpha
 from .grunwald import gl_derivative_at, gl_derivative_on_grid, gl_simulate, power_rule_exact
-from .integrate import (START_OFFSET, BlowUpError, TimeGrid, TimeSeries,
+from .integrate import (START_OFFSET, BlowUpError, TimeGrid, TimeSeries, simulate_batch,
                         simulate_classical, simulate_fractional)
 
 __all__ = [
@@ -330,13 +330,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         checks.append((name, ok, detail))
 
     sqrt_pi = math.sqrt(math.pi)
-    err = abs(gamma(0.5) - sqrt_pi) / sqrt_pi
-    record("gamma half-integer value", err < 1e-12, f"rel err {err:.2e}")
-    rec = abs(gamma(4.7) - 3.7 * gamma(3.7)) / gamma(4.7)
-    record("gamma recurrence", rec < 1e-12, f"rel err {rec:.2e}")
-    refl = abs(gamma(0.3) * gamma(0.7) - math.pi / math.sin(math.pi * 0.3)) / gamma(0.3)
-    record("gamma reflection", refl < 1e-12, f"rel err {refl:.2e}")
-
     a_val = coeff_a(0.5, 2)
     ap_val = coeff_a_prime(0.5, 2)
     c_val = coeff_c(0.5, 2)
@@ -369,6 +362,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     bypass = simulate_fractional(params, initial, ExpansionConfig(1.0, 7), short)
     record("classical bypass is bit-identical",
            bool(np.array_equal(classical.values, bypass.values)), "alpha = 1 path")
+
+    pair = [ExpansionConfig(0.9, 7), ExpansionConfig(0.95, 7)]
+    batch = simulate_batch(params, initial, pair, short)
+    same = all(isinstance(run, TimeSeries) and np.array_equal(
+        run.values, simulate_fractional(params, initial, cfg, short).values)
+        for cfg, run in zip(pair, batch))
+    record("batch members equal their solo runs", same,
+           "alpha = 0.9 and 0.95, N = 7, bit for bit")
 
     # 3200 steps: more than three history blocks, so the FFT far field runs.
     gl_grid = TimeGrid(t_start=0.0, t_end=160.0, step=0.05)

@@ -114,14 +114,21 @@ def check_population_balance(params: ModelParams, y0: StateVector) -> None:
 def classical_rhs(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
     """Time derivative of the compartment vector (S_h, I_h, R_h, S_m, I_m).
 
-    Pure function of the state; t is accepted for integrator compatibility
-    (the model is autonomous).  Whenever the compartment sums equal N_h and
-    N_m, the host and mosquito totals are conserved exactly:
-    dS_h + dI_h + dR_h = 0 and dS_m + dI_m = 0.
+    y is one state of shape (5,) or a batch of states of shape (B, 5), one
+    row per member; the result has the shape of y.  Pure function of the
+    state; t is accepted for integrator compatibility (the model is
+    autonomous).  Whenever the compartment sums equal N_h and N_m, the host
+    and mosquito totals are conserved exactly: dS_h + dI_h + dR_h = 0 and
+    dS_m + dI_m = 0.
+
+    Only + - * / are used, and they round the same on Python floats and on
+    numpy arrays, so each row of a batch equals the one-state call on that
+    row bit for bit.
     """
-    # Python floats: scalar arithmetic on them is several times cheaper than
-    # on numpy scalars, and IEEE-identical.
-    s_h, i_h, r_h, s_m, i_m = np.asarray(y, dtype=float).tolist()
+    y = np.asarray(y, dtype=float)
+    # One state unpacks to Python floats: scalar arithmetic on them is
+    # several times cheaper than on numpy scalars, and IEEE-identical.
+    s_h, i_h, r_h, s_m, i_m = y.tolist() if y.ndim == 1 else y.T
     foi_host = params.bite_rate * params.beta_mh * i_m / params.n_h
     foi_vector = params.bite_rate * params.beta_hm * i_h / params.n_h
     return np.array([
@@ -130,7 +137,7 @@ def classical_rhs(t: float, y: np.ndarray, params: ModelParams) -> np.ndarray:
         params.eta_h * i_h - params.mu_h * r_h,
         params.mu_m * params.n_m - (foi_vector + params.mu_m) * s_m,
         foi_vector * s_m - params.mu_m * i_m,
-    ])
+    ]).T
 
 
 def default_scenario() -> tuple[ModelParams, StateVector]:

@@ -11,7 +11,8 @@ is negligible against daily data).  The order is fitted by exhaustive grid
 search: the model is highly sensitive to alpha, so the full error curve is
 worth more than a local optimizer, and the curve itself is part of the
 result.  Runs that blow up score +inf but stay visible in the curve,
-flagged as failed.
+flagged as failed.  The candidates with alpha < 1 are stepped together as
+one batch (`integrate.simulate_batch`), each bit for bit as if run alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 
 from .dengue import ModelParams, StateVector
 from .expansion import ExpansionConfig
-from .integrate import START_OFFSET, BlowUpError, TimeGrid, TimeSeries, simulate_fractional
+from .integrate import (START_OFFSET, BlowUpError, TimeGrid, TimeSeries, simulate_batch,
+                        simulate_fractional)
 
 __all__ = [
     "ObservedSeries",
@@ -128,17 +130,24 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
     if n_order < 2:
         raise ValueError(f"n_order must be >= 2, got {n_order}")
 
-    curve = []
-    for alpha in alphas:
-        cfg = ExpansionConfig(alpha=alpha, order_n=n_order)
+    # The alpha < 1 candidates run as one batch; alpha = 1 (at most one, the
+    # last) takes the classical bypass.
+    cfgs = [ExpansionConfig(alpha=alpha, order_n=n_order) for alpha in alphas]
+    fractional = [cfg for cfg in cfgs if cfg.alpha < 1.0]
+    runs = (simulate_batch(params, y0, fractional, grid, start_offset=start_offset)
+            if fractional else [])
+    for cfg in cfgs[len(fractional):]:
         try:
-            series = simulate_fractional(params, y0, cfg, grid,
-                                         start_offset=start_offset)
-        except BlowUpError:
+            runs.append(simulate_fractional(params, y0, cfg, grid, start_offset=start_offset))
+        except BlowUpError as exc:
+            runs.append(exc)
+    curve = []
+    for alpha, run in zip(alphas, runs):
+        if isinstance(run, BlowUpError):
             curve.append(CurvePoint(alpha=alpha, error_pct=math.inf, status="failed"))
-            continue
-        error = percentage_error(series, obs)
-        curve.append(CurvePoint(alpha=alpha, error_pct=error, status="ok"))
+        else:
+            curve.append(CurvePoint(alpha=alpha, error_pct=percentage_error(run, obs),
+                                    status="ok"))
 
     best = _best_point(curve)
     if best is None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dengue import ModelParams, StateVector, check_population_balance, classical_rhs
 from .expansion import SampledFunction, gamma
-from .integrate import BlowUpError, DENGUE_COLUMNS, TimeGrid, TimeSeries
+from .integrate import BlowUpError, DENGUE_COLUMNS, TimeGrid, TimeSeries, _warn_undershoot
 
 __all__ = [
     "gl_weights",
@@ -175,6 +175,11 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     direct sum over the whole history to about 1e-12 relative; at
     alpha = 1 they are exactly explicit Euler, because the older nodes only
     meet the weights w_j with j >= 2, which are then exactly 0.
+
+    A compartment below zero by more than the tolerance of
+    `integrate.simulate_fractional` (a step above explicit stability) is
+    reported by the same RuntimeWarning, naming the compartment and the
+    time, and never clamped.
     """
     if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
@@ -206,4 +211,6 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
                 if not np.isfinite(y_k).all():
                     raise BlowUpError(time=float(ts[k]), step_index=k)
                 y[k] = y_k
-    return TimeSeries(times=ts, values=y, columns=DENGUE_COLUMNS)
+    series = TimeSeries(times=ts, values=y, columns=DENGUE_COLUMNS)
+    _warn_undershoot(series, params)
+    return series

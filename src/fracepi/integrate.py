@@ -1,16 +1,25 @@
 """The dengue simulation drivers: one body, one fixed-step RK4 kernel.
 
-`simulate_classical` and `simulate_fractional` share one body, in which the
-RK4 kernel writes each node's state into the preallocated result array;
-there is no general-purpose ODE integrator.  alpha = 1 runs the
-classical field (auxiliary columns stay zero); alpha < 1 integrates the
-augmented system produced by `expansion.expand_system`.  Its right-hand
-side carries t^(alpha-1) and t^(-alpha) factors that are singular at
-t = 0, so integration starts at a small positive offset (START_OFFSET)
-with the physical states at their t = 0 values and every auxiliary V_p at
-zero.  The first grid interval is crossed with geometrically growing
-sub-steps: near the offset the stiff x/t terms demand steps proportional
-to t, and a full-size first step would destroy the run.
+`simulate_classical`, `simulate_fractional` and `simulate_batch` share one
+body, in which the RK4 kernel writes each node's state into the
+preallocated result array; there is no general-purpose ODE integrator.
+alpha = 1 runs the classical field (auxiliary columns stay zero); alpha < 1
+integrates the augmented system produced by `expansion.expand_system`.  Its
+right-hand side carries t^(alpha-1) and t^(-alpha) factors that are
+singular at t = 0, so integration starts at a small positive offset
+(START_OFFSET) with the physical states at their t = 0 values and every
+auxiliary V_p at zero.  The first grid interval is crossed with
+geometrically growing sub-steps: near the offset the stiff x/t terms demand
+steps proportional to t, and a full-size first step would destroy the run.
+
+The body and the kernel work on any batch shape: a single run is a batch of
+shape () with a state of shape (5 N,), and `simulate_batch` steps B orders
+together on a state of shape (B, 5 N), storing only the five physical
+columns.  Every operation acts row by row, so each member of a batch equals
+its single run bit for bit, and a member that blows up is marked failed
+while the others run on.  The alpha = 1 bypass and `simulate_classical`
+keep their bits; fractional runs differ from the version that evaluated the
+expansion one config at a time by about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +41,7 @@ __all__ = [
     "DENGUE_COLUMNS",
     "simulate_classical",
     "simulate_fractional",
+    "simulate_batch",
     "aux_column_names",
 ]
 
@@ -139,10 +149,19 @@ class TimeSeries:
         return i if times[i] - t < t - times[i - 1] else i - 1
 
 
-def _rk4(f: Callable[[float, np.ndarray], np.ndarray], ts: np.ndarray,
-         out: np.ndarray) -> None:
-    """Classical fourth-order Runge-Kutta from out[0], writing the state at ts[i] to out[i]."""
-    y = out[0]
+def _rk4(f: Callable[[float, np.ndarray], np.ndarray], ts: np.ndarray, y: np.ndarray,
+         out: np.ndarray, fail_t: np.ndarray) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta from the state y at ts[0]; returns the last state.
+
+    y has shape batch + (dim,), one row per member of the batch, and the
+    first out.shape[-1] entries of every row at ts[i] are written to out[i]
+    for i >= 1.  A member whose row turns non-finite gets the time it failed
+    to reach in fail_t (batch shape, NaN while the member runs); its row
+    steps on as NaN or inf, which no other row reads, and the kernel returns
+    as soon as every member has failed.  f must keep rows apart too, as the
+    right-hand sides of `expand_system` and `classical_rhs` do.
+    """
+    width = out.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(ts) - 1):
             t = ts[i]
@@ -153,11 +172,20 @@ def _rk4(f: Callable[[float, np.ndarray], np.ndarray], ts: np.ndarray,
             k4 = f(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(y).all():
-                raise BlowUpError(time=float(ts[i + 1]), step_index=i + 1)
-            out[i + 1] = y
+                bad = ~np.isfinite(y).all(axis=-1)
+                fail_t[bad & np.isnan(fail_t)] = ts[i + 1]
+                if bad.all():
+                    return y
+            out[i + 1] = y[..., :width]
+    return y
 
 
 def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
+    """Warn once, naming the compartment and the time of the worst undershoot.
+
+    Called directly by each public simulation function, so the warning points
+    at its caller.
+    """
     # Report, never clamp: clamping would silently distort the
     # conservation diagnostics.
     scales = np.array([params.n_h] * 3 + [params.n_m] * 2)
@@ -172,18 +200,27 @@ def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
             f"negative undershoot: {name} = {physical[rows[k], cols[k]]:.6g} "
             f"at t = {series.times[rows[k]]:g}",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
 
 
 def simulate_classical(params: ModelParams, y0: StateVector, grid: TimeGrid) -> TimeSeries:
     """Integrate the classical model; host and mosquito totals are conserved."""
-    return _simulate(params, y0, grid, None, START_OFFSET, False)
+    series = _single(params, y0, grid, None, START_OFFSET, False)
+    _warn_undershoot(series, params)
+    return series
 
 
 def aux_column_names(order_n: int) -> tuple[str, ...]:
     """Auxiliary column labels: V2_S_h ... VN_S_h, V2_I_h, ... (state-major)."""
     return tuple(f"V{p}_{name}" for name in DENGUE_COLUMNS for p in range(2, order_n + 1))
+
+
+def _check_lower_terminal(grid: TimeGrid) -> None:
+    if grid.t_start != 0.0:
+        raise ValueError(
+            f"fractional runs start at the lower terminal t = 0, got t_start = {grid.t_start!r}"
+        )
 
 
 def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConfig,
@@ -197,59 +234,107 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     graded sub-steps (see the module docstring).  The returned series
     reports the physical compartments on the requested grid, with the first
     node holding the initial state; keep_aux=True appends the auxiliary
-    trajectories as extra columns.
+    trajectories as extra columns.  This is the batch of shape () of
+    `simulate_batch`, through the same kernel.
 
     alpha = 1 runs the classical field, so that case is identical to
     simulate_classical on the same grid, bit for bit.
     """
-    if grid.t_start != 0.0:
-        raise ValueError(
-            f"fractional runs start at the lower terminal t = 0, got t_start = {grid.t_start!r}"
-        )
-    if cfg.alpha != 1.0 and (start_offset <= 0 or not math.isfinite(start_offset)):
-        raise ValueError(f"start_offset must be positive and finite, got {start_offset!r}")
-    return _simulate(params, y0, grid, cfg, start_offset, keep_aux)
+    _check_lower_terminal(grid)
+    series = _single(params, y0, grid, cfg, start_offset, keep_aux)
+    _warn_undershoot(series, params)
+    return series
 
 
-def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid, cfg: ExpansionConfig | None,
-              start_offset: float, keep_aux: bool) -> TimeSeries:
-    """The one driver body; cfg None or alpha = 1 integrates the classical field."""
+def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[ExpansionConfig],
+                   grid: TimeGrid, *, start_offset: float = START_OFFSET,
+                   ) -> list[TimeSeries | BlowUpError]:
+    """Integrate the fractional model for several orders at once, one kernel for all.
+
+    cfgs is a non-empty sequence of configs of one order N, each with
+    alpha < 1; the state has shape (B, 5 N), one row per config, and only
+    the five physical columns are stored, so the result's memory does not
+    grow with N.  Entry b of the result is what
+    `simulate_fractional` returns for cfgs[b], bit for bit, or the
+    BlowUpError it would raise: a member that blows up is marked at the grid
+    node it failed to reach while the others run on.
+    """
+    _check_lower_terminal(grid)
+    nodes, values, fail_t = _simulate(params, y0, grid, cfgs, start_offset, 5)
+    runs = [_member(nodes, values[:, b], fail_t[b], DENGUE_COLUMNS) for b in range(len(cfgs))]
+    for run in runs:
+        if isinstance(run, TimeSeries):
+            _warn_undershoot(run, params)
+    return runs
+
+
+def _member(nodes: np.ndarray, values: np.ndarray, fail_t: float,
+            columns: tuple[str, ...]) -> TimeSeries | BlowUpError:
+    """One member's series, or the BlowUpError naming the grid node it failed to reach."""
+    if np.isnan(fail_t):
+        return TimeSeries(times=nodes, values=values, columns=columns)
+    return BlowUpError(float(fail_t), int(np.searchsorted(nodes, fail_t)))
+
+
+def _single(params: ModelParams, y0: StateVector, grid: TimeGrid, cfg: ExpansionConfig | None,
+            start_offset: float, keep_aux: bool) -> TimeSeries:
+    """One run (batch shape ()); cfg None or alpha = 1 integrates the classical field."""
+    columns = DENGUE_COLUMNS + aux_column_names(cfg.order_n) if keep_aux else DENGUE_COLUMNS
+    classical = cfg is None or cfg.alpha == 1.0
+    nodes, values, fail_t = _simulate(params, y0, grid, None if classical else cfg,
+                                      start_offset, len(columns))
+    run = _member(nodes, values, fail_t, columns)
+    if isinstance(run, BlowUpError):
+        raise run
+    return run
+
+
+def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
+              cfg: ExpansionConfig | Sequence[ExpansionConfig] | None, start_offset: float,
+              width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one simulation body, for any batch shape.
+
+    cfg None integrates the classical field (batch shape ()); otherwise the
+    augmented system of one config (batch shape ()) or of a sequence of
+    configs (batch shape (B,)).  Returns the nodes, the first `width`
+    columns of every state, of shape (nodes,) + batch + (width,) (columns
+    the state does not have stay zero), and the time each member failed to
+    reach, NaN for a member that reached the last node.
+    """
     check_population_balance(params, y0)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         return classical_rhs(t, y, params)
 
-    classical = cfg is None or cfg.alpha == 1.0
     nodes = grid.nodes()
-    values = np.zeros((len(nodes), 5 if classical and not keep_aux else 5 * cfg.order_n))
-    values[0, :5] = y0.as_array()
-    try:
-        if classical:
-            _rk4(f, nodes, values[:, :5])
-        else:
-            rhs = expand_system(f, cfg)
-            if start_offset >= nodes[1]:
-                raise ValueError(
-                    f"start_offset = {start_offset!r} does not leave room before the "
-                    f"first grid node at t = {nodes[1]!r}"
-                )
-            ramp = [start_offset]  # geometric sub-steps up to the first node
-            while ramp[-1] * RAMP_FACTOR < nodes[1]:
-                ramp.append(ramp[-1] * RAMP_FACTOR)
-            head = np.empty((len(ramp) + 1, values.shape[1]))
-            head[0] = values[0]
-            _rk4(rhs, np.array(ramp + [nodes[1]]), head)
-            values[1] = head[-1]
-            _rk4(rhs, nodes[1:], values[1:])
-    except BlowUpError as exc:
-        # The kernel counts steps within the array it was given (a ramp, or
-        # the grid from node 1); report the grid node the run failed to reach.
-        raise BlowUpError(exc.time, int(np.searchsorted(nodes, exc.time))) from None
-
-    if keep_aux:
-        series = TimeSeries(times=nodes, values=values,
-                            columns=DENGUE_COLUMNS + aux_column_names(cfg.order_n))
+    if cfg is None:
+        shape, dim = (), 5
     else:
-        series = TimeSeries(times=nodes, values=values[:, :5], columns=DENGUE_COLUMNS)
-    _warn_undershoot(series, params)
-    return series
+        rhs = expand_system(f, cfg)
+        one = isinstance(cfg, ExpansionConfig)
+        shape, dim = ((), 5 * cfg.order_n) if one else ((len(cfg),), 5 * cfg[0].order_n)
+    y = np.zeros(shape + (dim,))
+    y[..., :5] = y0.as_array()
+    values = np.zeros((len(nodes),) + shape + (width,))
+    values[0, ..., :5] = y0.as_array()
+    fail_t = np.full(shape, np.nan)
+    if cfg is None:
+        # keep_aux of the classical bypass: the auxiliary columns stay zero.
+        _rk4(f, nodes, y, values[..., :5], fail_t)
+        return nodes, values, fail_t
+    if start_offset <= 0 or not math.isfinite(start_offset):
+        raise ValueError(f"start_offset must be positive and finite, got {start_offset!r}")
+    if start_offset >= nodes[1]:
+        raise ValueError(
+            f"start_offset = {start_offset!r} does not leave room before the "
+            f"first grid node at t = {nodes[1]!r}"
+        )
+    ramp = [start_offset]  # geometric sub-steps up to the first node
+    while ramp[-1] * RAMP_FACTOR < nodes[1]:
+        ramp.append(ramp[-1] * RAMP_FACTOR)
+    ramp_ts = np.array(ramp + [nodes[1]])
+    y = _rk4(rhs, ramp_ts, y, np.empty((len(ramp_ts),) + values.shape[1:]), fail_t)
+    values[1] = y[..., :width]
+    if np.isnan(fail_t).any():
+        _rk4(rhs, nodes[1:], y, values[1:], fail_t)
+    return nodes, values, fail_t

@@ -112,6 +112,14 @@ class TestClassicalRhs:
         dy = classical_rhs(0.0, y, params)
         assert np.all(dy == 0.0)
 
+    def test_batch_rows_equal_single_calls_bitwise(self, scenario, rng):
+        params, _ = scenario
+        batch = rng.uniform(-10.0, 1e5, (7, 5))
+        dy = classical_rhs(0.0, batch, params)
+        assert dy.shape == (7, 5)
+        for row, out in zip(batch, dy):
+            assert np.array_equal(out, classical_rhs(0.0, row, params))
+
 
 class TestPopulationDrift:
     def test_balanced_trajectory_has_zero_drift(self, scenario):

@@ -299,6 +299,25 @@ class TestExpandSystem:
         assert out[1] == pytest.approx((1.0 - 2) * t ** 0 * x, rel=1e-13)
         assert out[2] == pytest.approx((1.0 - 3) * t ** 1 * x, rel=1e-13)
 
+    def test_batch_rows_equal_single_configs_bitwise(self, rng):
+        cfgs = [ExpansionConfig(alpha=a, order_n=6) for a in (0.3, 0.75, 0.9)]
+
+        def f(t, x):
+            return 0.5 * x * x - t
+
+        y = rng.uniform(-2.0, 2.0, (3, 2 * 6))
+        batched = expand_system(f, cfgs)
+        for t in (1e-3, 0.7, 3.0):
+            out = batched(t, y)
+            assert out.shape == (3, 12)
+            for cfg, row, got in zip(cfgs, y, out):
+                assert np.array_equal(got, expand_system(f, cfg)(t, row))
+
+    @pytest.mark.parametrize("orders", [[], [7, 8]])
+    def test_batch_rejects_empty_or_mixed_orders(self, orders):
+        with pytest.raises(ValueError, match="one order"):
+            expand_system(lambda t, x: -x, [ExpansionConfig(0.9, n) for n in orders])
+
     def test_degenerate_coefficients_propagate(self):
         with pytest.raises(DegenerateCoefficientError):
             expand_system(lambda t, x: -x, ExpansionConfig(alpha=1e-8, order_n=7))

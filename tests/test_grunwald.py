@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,23 @@ class TestGlSimulate:
         with pytest.raises(BlowUpError) as exc_info:
             gl_simulate(params, y0, 0.9, TimeGrid(0.0, 1000.0, 10.0))
         assert 0.0 < exc_info.value.time <= 1000.0
+
+    def test_undershoot_is_reported(self, scenario):
+        # Above explicit stability (eta_h = 20 at h = 0.0716) the stepper dips
+        # to I_h ~ -209 and returns; it must say so, once, without clamping.
+        params, y0 = scenario
+        stiff = dataclasses.replace(params, eta_h=20.0)
+        with pytest.warns(RuntimeWarning, match=r"undershoot: I_h = -20\d\.\d+ at t = ") as record:
+            series = gl_simulate(stiff, y0, 0.9, TimeGrid(0.0, 5000 * 0.0716, 0.0716))
+        assert len(record) == 1
+        assert series.column("I_h").min() < -200.0
+
+    def test_stable_run_does_not_warn(self, scenario):
+        params, y0 = scenario
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = gl_simulate(params, y0, 0.95, TimeGrid(0.0, 100.0, 0.01))
+        assert series.values.min() == 0.0
 
     def test_blow_up_past_first_blocks_matches_direct_sum(self, scenario):
         # A fast recovery rate makes the step explicitly unstable, and a seed

@@ -6,15 +6,22 @@ import pytest
 from fracepi.dengue import population_drift
 from fracepi.expansion import ExpansionConfig
 from fracepi.integrate import (MAX_NODES, BlowUpError, TimeGrid, TimeSeries, _rk4,
-                               aux_column_names, simulate_classical, simulate_fractional)
+                               aux_column_names, simulate_batch, simulate_classical,
+                               simulate_fractional)
 
 
 def _rk4_values(f, y0, grid):
-    """The RK4 kernel's trajectory of y' = f(t, y) from y0 over the grid's nodes."""
+    """The RK4 kernel's trajectory of y' = f(t, y) from y0 over the grid's nodes.
+
+    Raises the BlowUpError of the time the kernel records as failed.
+    """
     ts = grid.nodes()
     values = np.empty((len(ts), len(y0)))
     values[0] = y0
-    _rk4(f, ts, values)
+    fail_t = np.full((), np.nan)
+    _rk4(f, ts, y0, values, fail_t)
+    if not np.isnan(fail_t):
+        raise BlowUpError(time=float(fail_t), step_index=int(np.searchsorted(ts, fail_t)))
     return values
 
 
@@ -240,3 +247,63 @@ class TestSimulateFractional:
         with pytest.raises(ValueError, match="room"):
             simulate_fractional(params, y0, ExpansionConfig(0.9, 7),
                                 TimeGrid(0.0, 1.0, 0.01), start_offset=0.02)
+
+
+class TestSimulateBatch:
+    BATCH_GRID = TimeGrid(0.0, 10.0, 0.05)
+    ORDERS = tuple(round(0.89 + 0.01 * k, 12) for k in range(11))
+
+    @pytest.fixture(scope="class")
+    def solo(self, scenario):
+        params, y0 = scenario
+        return {alpha: simulate_fractional(params, y0, ExpansionConfig(alpha, 7),
+                                           self.BATCH_GRID).values
+                for alpha in self.ORDERS}
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 11])
+    def test_members_equal_solo_runs_bitwise(self, scenario, solo, size):
+        # Every rotation, so each order sits at every position of the batch.
+        params, y0 = scenario
+        orders = self.ORDERS[:size]
+        for shift in range(size):
+            rotated = orders[shift:] + orders[:shift]
+            runs = simulate_batch(params, y0, [ExpansionConfig(a, 7) for a in rotated],
+                                  self.BATCH_GRID)
+            assert len(runs) == size
+            for alpha, run in zip(rotated, runs):
+                assert run.columns == ("S_h", "I_h", "R_h", "S_m", "I_m")
+                assert np.array_equal(run.times, self.BATCH_GRID.nodes())
+                assert np.array_equal(run.values, solo[alpha])
+
+    def test_blown_up_member_is_marked_and_the_others_keep_their_bits(self, scenario):
+        # The 2-day grid of the fit's blow-up test: fatal at 0.3, survivable near 1.
+        params, y0 = scenario
+        coarse = TimeGrid(0.0, 100.0, 2.0)
+        with pytest.raises(BlowUpError) as solo_error:
+            simulate_fractional(params, y0, ExpansionConfig(0.3, 7), coarse)
+        orders = (0.97, 0.3, 0.98)
+        runs = simulate_batch(params, y0, [ExpansionConfig(a, 7) for a in orders], coarse)
+        assert isinstance(runs[1], BlowUpError)
+        assert runs[1].time == solo_error.value.time
+        assert runs[1].step_index == solo_error.value.step_index
+        for k in (0, 2):
+            solo = simulate_fractional(params, y0, ExpansionConfig(orders[k], 7), coarse)
+            assert np.array_equal(runs[k].values, solo.values)
+
+    def test_every_member_blowing_up_matches_its_solo_error(self, scenario):
+        # 0.7 fails in the start-up ramp, 0.9 in the grid body.
+        params, y0 = scenario
+        grid = TimeGrid(0.0, 1.0, 0.01)
+        cfgs = [ExpansionConfig(0.7, 50), ExpansionConfig(0.9, 50)]
+        runs = simulate_batch(params, y0, cfgs, grid)
+        for cfg, run in zip(cfgs, runs):
+            with pytest.raises(BlowUpError) as solo_error:
+                simulate_fractional(params, y0, cfg, grid)
+            assert isinstance(run, BlowUpError)
+            assert (run.time, run.step_index) == (solo_error.value.time,
+                                                  solo_error.value.step_index)
+
+    def test_rejects_grid_not_starting_at_zero(self, scenario):
+        params, y0 = scenario
+        with pytest.raises(ValueError, match="t = 0"):
+            simulate_batch(params, y0, [ExpansionConfig(0.9, 7)], TimeGrid(0.5, 2.0, 0.01))
