@@ -42,7 +42,7 @@ from .dengue import (ModelParams, StateVector, check_population_balance, classic
                      default_scenario)
 from .expansion import (ExpansionConfig, ExpansionCoefficients, SampledFunction,
                         approx_rl_derivative, approx_rl_derivative_on_grid, coeff_a,
-                        coeff_a_prime, coeff_c)
+                        coeff_a_prime, coeff_c, expand_system)
 from .fitting import FitFailedError, FitResult, ObservedSeries, fit_alpha
 from .grunwald import gl_derivative_at, gl_derivative_on_grid, gl_simulate, power_rule_exact
 from .integrate import (START_OFFSET, BlowUpError, TimeGrid, TimeSeries, simulate_batch,
@@ -357,6 +357,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
            f"err N=5 {err5:.2e}, N=20 {err20:.2e}")
 
     params, initial = default_scenario()
+    # The operator the kernel steps against the defining formula, assembled
+    # here from the scalar weights, at a mid-outbreak state whose moments
+    # are those of a constant trajectory, V_p = -x t^(p-1).
+    alpha, n, t = 0.9, 4, 2.0
+    x = np.array([50000.0, 2000.0, 4000.0, 160000.0, 8000.0])
+    v = -np.outer(x, [t ** (p - 1) for p in range(2, n + 1)])
+    bracket = (classical_rhs(t, x, params) - coeff_a(alpha, n) * t ** -alpha * x
+               + sum(coeff_c(alpha, p) * t ** (1 - p - alpha) * v[:, p - 2]
+                     for p in range(2, n + 1)))
+    want = np.concatenate([bracket * t ** (alpha - 1) / coeff_a_prime(alpha, n),
+                           np.outer(x, [(1 - p) * t ** (p - 2) for p in range(2, n + 1)]).ravel()])
+    system = expand_system(lambda s, y: classical_rhs(s, y, params), ExpansionConfig(alpha, n))
+    got = system(t, np.concatenate([x, v.ravel()]))
+    worst = float(np.max(np.abs(got - want) / np.abs(want)))
+    record("augmented right-hand side vs defining formula", worst <= 1e-13,
+           f"worst rel err {worst:.1e}, alpha = {alpha}, N = {n}")
+
     short = TimeGrid(t_start=0.0, t_end=10.0, step=0.05)
     classical = simulate_classical(params, initial, short)
     bypass = simulate_fractional(params, initial, ExpansionConfig(1.0, 7), short)

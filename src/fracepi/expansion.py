@@ -25,13 +25,18 @@ Gamma(p-1+alpha) and (p-1)! factors overflow from p ~ 143 on.  Gamma itself
 is `math.gamma` behind a pole check.
 
 Because the substitution is algebraic, a d-dimensional fractional system
-turns into an ordinary system of dimension d*N (`expand_system`), which any
-classical integrator can handle.  `expand_system` also takes several orders
-alpha of one N and evaluates them together along a leading batch axis, each
-row bit for bit as if alone.  alpha = 1 has no expansion: the weights
-contain Gamma(1-alpha) and Gamma(alpha-1) poles there, so the weights, the
-derivative and `expand_system` reject it, and the classical bypass lives in
-`integrate.simulate_fractional`.
+turns into an ordinary system of dimension d*N (`expand_system`).  Only f
+is nonlinear: the moment equations and the moment sum are linear in (x, V)
+with coefficients that depend on t alone.  So on a block state Z of shape
+batch + (d, N), x in column 0 and V_2 ... V_N after it, the system is
+Z' = Z M(t) + s(t) f(t, x) in column 0 (`AugmentedSystem`), and the RK4
+kernel precomputes the N x N operators M for a block of stage times with
+one array power, leaving one matrix product per stage.  `expand_system`
+also takes several orders alpha of one N, stacked along a leading batch
+axis, each member bit for bit as if alone.  alpha = 1 has no expansion:
+the weights contain Gamma(1-alpha) and Gamma(alpha-1) poles there, so the
+weights, the derivative and `expand_system` reject it, and the classical
+bypass lives in `integrate.simulate_fractional`.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "coeff_c",
     "approx_rl_derivative",
     "approx_rl_derivative_on_grid",
+    "AugmentedSystem",
     "expand_system",
 ]
 
@@ -286,44 +292,105 @@ def approx_rl_derivative(x: SampledFunction, cfg: ExpansionConfig, t: float) -> 
 def _powers(cfg: ExpansionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exponents E and factors K of the 2N time factors K * t ** E of one config.
 
-    In order: the moment weights C_p t^(1-p-alpha) and the auxiliary rates
-    (1-p) t^(p-2) for p = 2 ... N, then A t^(-alpha) and t^(alpha-1) / A'.
+    In order: column 0 of the operator before its scale, -A t^(-alpha) and
+    C_p t^(1-p-alpha) for p = 2 ... N; row 0, the auxiliary rates
+    (1-p) t^(p-2) for p = 2 ... N; and the scale s = t^(alpha-1) / A'.
     """
     coefs = ExpansionCoefficients.from_config(cfg)
     p_range = np.arange(2, cfg.order_n + 1, dtype=float)
-    exponents = np.concatenate([1.0 - p_range - cfg.alpha, p_range - 2.0,
-                                [-cfg.alpha, cfg.alpha - 1.0]])
-    factors = np.concatenate([coefs.c_coefs, 1.0 - p_range,
-                              [coefs.a_coef, 1.0 / coefs.a_prime_coef]])
+    exponents = np.concatenate([[-cfg.alpha], 1.0 - p_range - cfg.alpha, p_range - 2.0,
+                                [cfg.alpha - 1.0]])
+    factors = np.concatenate([[-coefs.a_coef], coefs.c_coefs, 1.0 - p_range,
+                              [1.0 / coefs.a_prime_coef]])
     return exponents, factors
 
 
+@dataclass(frozen=True)
+class AugmentedSystem:
+    """The ordinary system that replaces D^alpha x = rhs(t, x), as a linear operator.
+
+    A state is a block Z of shape batch + (d, N): row k holds physical
+    state x_k in column 0 and its moments V_2^k ... V_N^k in columns 1 ...
+    N-1.  The moment equations are linear in Z with time-only
+    coefficients, so the whole system reads
+
+        Z' = Z M(t) + s(t) rhs(t, Z[..., 0]) in column 0,
+
+    where the N x N operator M(t) is zero but for column 0,
+    s [-A t^(-alpha), C_2 t^(-1-alpha), ..., C_N t^(1-N-alpha)], and row 0,
+    the rates (1-p) t^(p-2) of the moments, and s(t) = t^(alpha-1) / A'.
+    exponents and factors (batch + (2N,)) give the entries as K * t ** E
+    (see `_powers`); rhs is the physical right-hand side, called with
+    states of shape batch + (d,).
+
+    Calling the system evaluates it on flat states (see `expand_system`).
+    """
+
+    rhs: Callable[[float, np.ndarray], np.ndarray]
+    order_n: int
+    exponents: np.ndarray
+    factors: np.ndarray
+
+    def field(self, times: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
+        """The right-hand side Z' (t, Z) for t among the 1-D array times.
+
+        Builds M(t) and s(t) for every time up front, with one array power,
+        so that each call costs one matrix product, one rhs call and one
+        column-0 add.  Every member of a batch takes its own product and
+        the same elementwise operations, so a member of a batch equals the
+        same config alone, bit for bit (given an rhs whose rows do not
+        interact), and M(t) does not depend on the other times.
+        """
+        n = self.order_n
+        g = self.factors * times.reshape(times.shape + (1,) * self.factors.ndim) ** self.exponents
+        ops = np.zeros(g.shape[:-1] + (n, n))  # (T,) + batch + (N, N)
+        ops[..., 0] = g[..., :n] * g[..., -1:]
+        ops[..., 0, 1:] = g[..., n:-1]
+        scales = g[..., -1:]  # (T,) + batch + (1,): broadcasts against rhs values
+        index = {t: k for k, t in enumerate(times.tolist())}
+        rhs = self.rhs
+
+        def stage(t: float, z: np.ndarray) -> np.ndarray:
+            k = index[t]
+            dz = z @ ops[k]
+            dz[..., 0] += scales[k] * rhs(t, z[..., 0])
+            return dz
+
+        return stage
+
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        """The right-hand side on flat states y of shape batch + (d * N,).
+
+        The first d entries of a row are the physical states, then, for
+        each physical state in order, its moments V_2, ..., V_N; the
+        physical dimension d = y.shape[-1] // N is read from y.
+        """
+        n = self.order_n
+        d = y.shape[-1] // n
+        z = np.concatenate([y[..., :d, None], y[..., d:].reshape(y.shape[:-1] + (d, n - 1))],
+                           axis=-1)
+        dz = self.field(np.array([t], dtype=float))(t, z)
+        return np.concatenate([dz[..., 0], dz[..., 1:].reshape(y.shape[:-1] + (-1,))], axis=-1)
+
+
 def expand_system(f: Callable[[float, np.ndarray], np.ndarray],
-                  cfg: ExpansionConfig | Sequence[ExpansionConfig],
-                  ) -> Callable[[float, np.ndarray], np.ndarray]:
+                  cfg: ExpansionConfig | Sequence[ExpansionConfig]) -> AugmentedSystem:
     """Turn the fractional system D^alpha x = f(t, x) into an ordinary one.
 
     cfg is one config (batch shape ()) or a sequence of B configs of one
-    order N (batch shape (B,)).  The returned right-hand side acts on states
-    y of shape batch + (d * N,), one row per config, and infers the physical
-    dimension d = y.shape[-1] // N from the state it is called with: the
-    first d entries of a row are the physical states, then, for each
-    physical state in order, its auxiliaries V_2, ..., V_N.  f is called
-    with the physical states, of shape batch + (d,).  For alpha < 1 the
-    physical states obey
+    order N (batch shape (B,)), one row of the state per config.  For
+    alpha < 1 the physical states obey
 
         x_k' = [f_k(t, x) - A t^(-alpha) x_k + sum_p C_p t^(1-p-alpha) V_p^k]
                * t^(alpha-1) / A',
 
-    while each auxiliary follows V_p^k' = (1-p) t^(p-2) x_k, all starting
-    from V_p^k(0) = 0.
-
-    Every row is computed with the same elementwise operations, and the
-    moment sum is a reduction along the last, contiguous axis, so a row of a
-    batch equals the same config run alone, bit for bit (given an f whose
-    rows do not interact).  All powers of t go through one array power, so
-    results differ by about 1e-15 relative from an evaluation with scalar
-    powers and a matrix product for the moment sum.
+    while each moment follows V_p^k' = (1-p) t^(p-2) x_k, all starting from
+    V_p^k(0) = 0.  The result is that system as the linear operator plus
+    f of `AugmentedSystem`: its `field` drives the RK4 kernel on block
+    states of shape batch + (d, N), and calling it evaluates flat states
+    of shape batch + (d * N,).  The operator form applies the scale s to
+    each weight before the sum, so results differ by about 1e-14 relative
+    from the bracket-then-scale evaluation above.
 
     Raises ValueError for alpha = 1, which has no expansion (the classical
     bypass lives in `integrate.simulate_fractional`), or for configs of
@@ -334,25 +401,7 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray],
     if not cfgs or any(c.order_n != cfgs[0].order_n for c in cfgs):
         raise ValueError("a batch needs at least one config, all of one order N")
     n = cfgs[0].order_n
-    m = n - 1
-    # Shape (2N,) for one config, (B, 1, 2N) for a batch: the slices of
-    # K * t ** E then broadcast against x (batch + (d,)) and V (batch +
-    # (d, N-1)) as they are, and one config's A and 1/A' terms are 0-d.
-    shape = () if isinstance(cfg, ExpansionConfig) else (len(cfgs), 1)
+    shape = () if isinstance(cfg, ExpansionConfig) else (len(cfgs),)
     exponents, factors = (np.array(a).reshape(shape + (2 * n,))
                           for a in zip(*map(_powers, cfgs)))
-    cache: list = [None]  # RK4's middle stages share t: computed once per distinct t
-
-    def augmented(t: float, y: np.ndarray) -> np.ndarray:
-        if t != cache[0]:
-            g = factors * t ** exponents
-            cache[:] = t, g[..., :m], g[..., m:2 * m], g[..., -2], g[..., -1]
-        _, moment_w, aux_rate, value_w, scale = cache
-        dim = y.shape[-1] // n
-        x = y[..., :dim]
-        v = y[..., dim:].reshape(y.shape[:-1] + (dim, m))
-        bracket = f(t, x) - value_w * x + np.add.reduce(v * moment_w, axis=-1)
-        dv = aux_rate * x[..., None]
-        return np.concatenate([bracket * scale, dv.reshape(y.shape[:-1] + (-1,))], axis=-1)
-
-    return augmented
+    return AugmentedSystem(rhs=f, order_n=n, exponents=exponents, factors=factors)

@@ -12,14 +12,20 @@ auxiliary V_p at zero.  The first grid interval is crossed with
 geometrically growing sub-steps: near the offset the stiff x/t terms demand
 steps proportional to t, and a full-size first step would destroy the run.
 
-The body and the kernel work on any batch shape: a single run is a batch of
-shape () with a state of shape (5 N,), and `simulate_batch` steps B orders
-together on a state of shape (B, 5 N), storing only the five physical
-columns.  Every operation acts row by row, so each member of a batch equals
-its single run bit for bit, and a member that blows up is marked failed
-while the others run on.  The alpha = 1 bypass and `simulate_classical`
-keep their bits; fractional runs differ from the version that evaluated the
-expansion one config at a time by about 1e-15 relative.
+The body and the kernel work on any batch shape.  A fractional state is a
+block of shape batch + (5, N), each compartment in column 0 of its row and
+its moments V_2 ... V_N after it: a single run is the batch of shape (),
+and `simulate_batch` steps B orders together on a (B, 5, N) state,
+storing only the five physical columns.  For a block of steps the kernel
+precomputes the augmented system's operators at every stage time, as many
+steps as BLOCK_ENTRIES operator entries hold, so its memory stays flat in N
+and B, and each stage is one matrix product, one `classical_rhs` call and
+one column-0 add.  Every operation acts member by member, so each member of
+a batch equals its single run bit for bit, whatever the block length, and a
+member that blows up is marked failed while the others run on.  The
+alpha = 1 bypass and `simulate_classical` keep their bits; fractional runs
+differ by about 1e-14 relative from the version that scaled the bracket of
+the expansion after summing it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dengue import ModelParams, StateVector, check_population_balance, classical_rhs
-from .expansion import ExpansionConfig, expand_system
+from .expansion import AugmentedSystem, ExpansionConfig, expand_system
 
 __all__ = [
     "BlowUpError",
@@ -57,6 +63,11 @@ UNDERSHOOT_TOL = 1e-6
 
 # Default start offset epsilon (days) of a fractional run.
 START_OFFSET = 1e-6
+
+# Operator entries (3 stage times x batch x N x N per step) that one block of
+# fractional RK4 steps precomputes: caps the block's memory whatever N and
+# the batch size.
+BLOCK_ENTRIES = 4096
 
 # A TimeGrid of more nodes is rejected before any array is allocated.
 MAX_NODES = 10 ** 6
@@ -149,21 +160,33 @@ class TimeSeries:
         return i if times[i] - t < t - times[i - 1] else i - 1
 
 
-def _rk4(f: Callable[[float, np.ndarray], np.ndarray], ts: np.ndarray, y: np.ndarray,
-         out: np.ndarray, fail_t: np.ndarray) -> np.ndarray:
+def _rk4(field: Callable[[float, np.ndarray], np.ndarray] | AugmentedSystem, ts: np.ndarray,
+         y: np.ndarray, out, fail_t: np.ndarray) -> np.ndarray:
     """Classical fourth-order Runge-Kutta from the state y at ts[0]; returns the last state.
 
-    y has shape batch + (dim,), one row per member of the batch, and the
-    first out.shape[-1] entries of every row at ts[i] are written to out[i]
-    for i >= 1.  A member whose row turns non-finite gets the time it failed
-    to reach in fail_t (batch shape, NaN while the member runs); its row
-    steps on as NaN or inf, which no other row reads, and the kernel returns
-    as soon as every member has failed.  f must keep rows apart too, as the
-    right-hand sides of `expand_system` and `classical_rhs` do.
+    field is the right-hand side f(t, y), or an `AugmentedSystem`, whose
+    operators the kernel precomputes for blocks of steps: each block holds
+    the stage times t, t + h/2 and t + h of as many steps as fit
+    BLOCK_ENTRIES operator entries, and at least one.  The leading
+    fail_t.ndim axes of y are the batch, one member per entry of fail_t;
+    out[i] = y stores the state at ts[i] for i >= 1.  A member whose state
+    turns non-finite gets the time it failed to reach in fail_t (NaN while
+    the member runs); it steps on as NaN or inf, which no other member
+    reads, and the kernel returns as soon as every member has failed.  The
+    field must keep members apart too, as `AugmentedSystem` and
+    `classical_rhs` do.
     """
-    width = out.shape[-1]
+    system = field if isinstance(field, AugmentedSystem) else None
+    block = (max(1, BLOCK_ENTRIES // (3 * y[..., 0, :].size * y.shape[-1]))
+             if system is not None else 0)
+    member_axes = tuple(range(fail_t.ndim, y.ndim))
+    f = field
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(ts) - 1):
+            if system is not None and i % block == 0:
+                nodes = ts[i:i + block + 1]
+                t, h = nodes[:-1], np.diff(nodes)
+                f = system.field(np.concatenate([t, t + 0.5 * h, t + h]))
             t = ts[i]
             h = ts[i + 1] - t
             k1 = f(t, y)
@@ -172,12 +195,32 @@ def _rk4(f: Callable[[float, np.ndarray], np.ndarray], ts: np.ndarray, y: np.nda
             k4 = f(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(y).all():
-                bad = ~np.isfinite(y).all(axis=-1)
+                bad = ~np.isfinite(y).all(axis=member_axes)
                 fail_t[bad & np.isnan(fail_t)] = ts[i + 1]
                 if bad.all():
                     return y
-            out[i + 1] = y[..., :width]
+            out[i + 1] = y
     return y
+
+
+class _Columns:
+    """Row writer from block states Z (batch + (5, N)) into the column layout.
+
+    values has shape (nodes,) + batch + (width,), its columns the five
+    physical states and, if width > 5, the moments state-major
+    (`aux_column_names`); self[i] = Z writes row i.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.physical = values[..., :5]
+        # Splitting the last axis of a column slice is a view, so writes land in values.
+        self.moments = (values[..., 5:].reshape(values.shape[:-1] + (5, -1))
+                        if values.shape[-1] > 5 else None)
+
+    def __setitem__(self, i: int, z: np.ndarray) -> None:
+        self.physical[i] = z[..., 0]
+        if self.moments is not None:
+            self.moments[i] = z[..., 1:]
 
 
 def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
@@ -252,7 +295,7 @@ def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[Expansio
     """Integrate the fractional model for several orders at once, one kernel for all.
 
     cfgs is a non-empty sequence of configs of one order N, each with
-    alpha < 1; the state has shape (B, 5 N), one row per config, and only
+    alpha < 1; the state has shape (B, 5, N), one member per config, and only
     the five physical columns are stored, so the result's memory does not
     grow with N.  Entry b of the result is what
     `simulate_fractional` returns for cfgs[b], bit for bit, or the
@@ -308,13 +351,12 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
 
     nodes = grid.nodes()
     if cfg is None:
-        shape, dim = (), 5
+        shape, y = (), y0.as_array()
     else:
-        rhs = expand_system(f, cfg)
-        one = isinstance(cfg, ExpansionConfig)
-        shape, dim = ((), 5 * cfg.order_n) if one else ((len(cfg),), 5 * cfg[0].order_n)
-    y = np.zeros(shape + (dim,))
-    y[..., :5] = y0.as_array()
+        system = expand_system(f, cfg)
+        shape = system.factors.shape[:-1]
+        y = np.zeros(shape + (5, system.order_n))
+        y[..., 0] = y0.as_array()
     values = np.zeros((len(nodes),) + shape + (width,))
     values[0, ..., :5] = y0.as_array()
     fail_t = np.full(shape, np.nan)
@@ -333,8 +375,10 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     while ramp[-1] * RAMP_FACTOR < nodes[1]:
         ramp.append(ramp[-1] * RAMP_FACTOR)
     ramp_ts = np.array(ramp + [nodes[1]])
-    y = _rk4(rhs, ramp_ts, y, np.empty((len(ramp_ts),) + values.shape[1:]), fail_t)
-    values[1] = y[..., :width]
+    y = _rk4(system, ramp_ts, y, _Columns(np.empty((len(ramp_ts),) + values.shape[1:])),
+             fail_t)
+    out = _Columns(values[1:])
+    out[0] = y
     if np.isnan(fail_t).any():
-        _rk4(rhs, nodes[1:], y, values[1:], fail_t)
+        _rk4(system, nodes[1:], y, out, fail_t)
     return nodes, values, fail_t

@@ -232,6 +232,15 @@ class TestCommands:
         assert err.startswith("error: numerical:")
         assert len(err.splitlines()) == 1
 
+    def test_simulate_largest_order_blow_up_exits_2(self, tmp_path, capsys):
+        # N = 1000: one RK4 step's dense operators are 3 x 1000 x 1000 entries.
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--alpha", "0.95", "--order", "1000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert len(err.splitlines()) == 1
+
     def test_fit_recovers_synthetic_alpha(self, tmp_path, capsys, obs_csv):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("t_end = 30\nstep = 0.05\n")

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracepi import integrate
 from fracepi.dengue import population_drift
 from fracepi.expansion import ExpansionConfig
 from fracepi.integrate import (MAX_NODES, BlowUpError, TimeGrid, TimeSeries, _rk4,
@@ -307,3 +309,137 @@ class TestSimulateBatch:
         params, y0 = scenario
         with pytest.raises(ValueError, match="t = 0"):
             simulate_batch(params, y0, [ExpansionConfig(0.9, 7)], TimeGrid(0.5, 2.0, 0.01))
+
+
+class TestPinnedTrajectories:
+    """Fractional trajectories held to pinned numbers.
+
+    The built-in outbreak over 100 d at 0.01 with N = 7: the I_h peak, its
+    time and the last row (t, the five compartments, the 30 moments).
+    """
+
+    @pytest.mark.parametrize("alpha, peak_i_h, peak_t, final", [
+        (0.95, 716.2369078031802, 96.63, [
+            100.0, 11181.281262677649, 710.5039167054324, 7851.599060632317,
+            161938.19894991574, 4656.181674580829, -1839784.9580501358, -165720466.94965807,
+            -15536620910.969633, -1483458581613.4238, -143223698286377.88,
+            -1.393160746013949e+16, -28198.128309094638, -4185960.2915324667,
+            -502132551.0858161, -55648624492.43886, -5936409135048.131, -620010066939981.0,
+            -204906.69050750526, -32231188.622964483, -4012363463.365754,
+            -458071285867.1588, -50088766575569.97, -5342316764838642.0,
+            -15279202.121260073, -1607345147.48329, -162194109468.1888, -16250918439695.143,
+            -1625512480150268.5, -1.625193286802624e+17, -148379.4966218811,
+            -22877582.149527922, -2802388309.1717935, -315613100758.8542,
+            -34112769457387.652, -3602075400358369.0,
+        ]),
+        (0.97, 2411.393723172267, 53.52, [
+            100.0, 2872.0315163947516, 152.57273027358087, 27010.279807883093,
+            164260.39366655957, 3008.8909133038615, -1747459.0235330127,
+            -109386615.90685618, -7723037524.8117895, -598786444045.7971,
+            -49900870023542.055, -4385115185429773.0, -92070.92334858865,
+            -10055824.995521953, -902058925.555034, -77019133003.373, -6531643685093.319,
+            -559042734534795.06, -1252679.666280787, -185199830.2716934,
+            -21692078783.397602, -2348689521801.9883, -245588373122692.9,
+            -2.5229569347065588e+16, -15298829.513262313, -1573960403.5159693,
+            -158552781730.64804, -15930617292771.977, -1599420127873610.5,
+            -1.6048694594934173e+17, -605600.9932714818, -76400378.79864945,
+            -7777476527.9705105, -744109728771.0807, -69824565240804.96,
+            -6528927683210264.0,
+        ]),
+        (0.99, 5945.358180044681, 33.04, [
+            100.0, 1123.2899978405821, 10.277579764123251, 44407.02236295484,
+            167329.99081792394, 461.7149792439318, -1513190.9610594728, -59009794.24877309,
+            -2905786800.4750094, -184531172773.98108, -14395750371473.098,
+            -1272194449082999.0, -139851.5295860293, -9605851.12671441, -549109311.8702686,
+            -30658640534.266514, -1767431706857.9211, -108242855471884.38,
+            -2945156.418940681, -388953585.9544577, -42228580674.12849, -4349527359229.743,
+            -440092305883927.25, -4.423077079320771e+16, -15555995.715831272,
+            -1589285435.857001, -161518136924.54794, -16331500030447.947,
+            -1644929720498856.5, -1.652587291467017e+17, -915626.900687182,
+            -80843343.32615367, -5968795799.046815, -431647481651.17676, -31967900427315.65,
+            -2459814790923022.0,
+        ]),
+    ])
+    def test_peak_and_final_row(self, scenario, day100_grid, alpha, peak_i_h, peak_t, final):
+        params, y0 = scenario
+        series = simulate_fractional(params, y0, ExpansionConfig(alpha, 7), day100_grid,
+                                     keep_aux=True)
+        k = int(np.argmax(series.column("I_h")))
+        assert series.values[k, 1] == pytest.approx(peak_i_h, rel=1e-12, abs=0.0)
+        assert series.times[k] == pytest.approx(peak_t, rel=1e-12, abs=0.0)
+        assert len(final) == 36
+        np.testing.assert_allclose([series.times[-1], *series.values[-1]], final,
+                                   rtol=1e-12, atol=0.0)
+
+
+class TestOperatorBlocks:
+    """The kernel precomputes the operators of blocks of RK4 steps; the block
+    length changes no bit and the blocks' memory stays capped."""
+
+    # 107 ramp sub-steps from 1e-6 to the first node at 0.01, then 300 steps:
+    # blocks of 37 steps end inside both.
+    GRID = TimeGrid(0.0, 3.0, 0.01)
+    # A 512-step block of dense operators holds 10 MB per stage time at
+    # N = 50, and 20 MB for 100 members at N = 7.
+    PEAK_BYTES = 4_000_000
+
+    @staticmethod
+    def _with_block(monkeypatch, steps, members, order_n=7):
+        """Patch the entry budget so that every block holds `steps` RK4 steps."""
+        monkeypatch.setattr(integrate, "BLOCK_ENTRIES", steps * 3 * members * order_n ** 2)
+
+    @pytest.mark.parametrize("steps", [1, 37])
+    def test_solo_run_with_moments(self, scenario, monkeypatch, steps):
+        params, y0 = scenario
+
+        def run():
+            return simulate_fractional(params, y0, ExpansionConfig(0.95, 7), self.GRID,
+                                       keep_aux=True).values
+
+        default = run()
+        self._with_block(monkeypatch, steps, 1)
+        assert np.array_equal(run(), default)
+
+    @pytest.mark.parametrize("steps", [1, 37])
+    def test_batch(self, scenario, monkeypatch, steps):
+        params, y0 = scenario
+        cfgs = [ExpansionConfig(a, 7) for a in (0.9, 0.95, 0.99)]
+        default = simulate_batch(params, y0, cfgs, self.GRID)
+        self._with_block(monkeypatch, steps, len(cfgs))
+        for run, expected in zip(simulate_batch(params, y0, cfgs, self.GRID), default):
+            assert np.array_equal(run.values, expected.values)
+
+    @pytest.mark.parametrize("steps", [1, 37])
+    def test_batch_with_blowing_up_member(self, scenario, monkeypatch, steps):
+        params, y0 = scenario
+        coarse = TimeGrid(0.0, 100.0, 2.0)
+        cfgs = [ExpansionConfig(a, 7) for a in (0.97, 0.3, 0.98)]
+        default = simulate_batch(params, y0, cfgs, coarse)
+        self._with_block(monkeypatch, steps, len(cfgs))
+        runs = simulate_batch(params, y0, cfgs, coarse)
+        assert isinstance(runs[1], BlowUpError)
+        assert (runs[1].time, runs[1].step_index) == (default[1].time, default[1].step_index)
+        for k in (0, 2):
+            assert np.array_equal(runs[k].values, default[k].values)
+
+    @staticmethod
+    def _peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_high_order_solo_run_memory(self, scenario):
+        params, y0 = scenario
+        peak = self._peak_bytes(lambda: simulate_fractional(
+            params, y0, ExpansionConfig(0.95, 50), TimeGrid(0.0, 2.0, 0.01)))
+        assert peak < self.PEAK_BYTES
+
+    def test_large_batch_memory(self, scenario):
+        params, y0 = scenario
+        cfgs = [ExpansionConfig(0.9 + 0.0009 * k, 7) for k in range(100)]
+        peak = self._peak_bytes(lambda: simulate_batch(params, y0, cfgs,
+                                                       TimeGrid(0.0, 2.0, 0.01)))
+        assert peak < self.PEAK_BYTES
