@@ -357,9 +357,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
            f"err N=5 {err5:.2e}, N=20 {err20:.2e}")
 
     params, initial = default_scenario()
-    # The operator the kernel steps against the defining formula, assembled
-    # here from the scalar weights, at a mid-outbreak state whose moments
-    # are those of a constant trajectory, V_p = -x t^(p-1).
+    # The arrow pieces the kernels step with (s, a, g_p and r_p of
+    # `AugmentedSystem.arrow`, which calling the system assembles) against
+    # the defining formula, assembled here from the scalar weights, at a
+    # mid-outbreak state whose moments are those of a constant trajectory,
+    # V_p = -x t^(p-1).
     alpha, n, t = 0.9, 4, 2.0
     x = np.array([50000.0, 2000.0, 4000.0, 160000.0, 8000.0])
     v = -np.outer(x, [t ** (p - 1) for p in range(2, n + 1)])

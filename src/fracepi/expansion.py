@@ -27,11 +27,12 @@ is `math.gamma` behind a pole check.
 Because the substitution is algebraic, a d-dimensional fractional system
 turns into an ordinary system of dimension d*N (`expand_system`).  Only f
 is nonlinear: the moment equations and the moment sum are linear in (x, V)
-with coefficients that depend on t alone.  So on a block state Z of shape
-batch + (d, N), x in column 0 and V_2 ... V_N after it, the system is
-Z' = Z M(t) + s(t) f(t, x) in column 0 (`AugmentedSystem`), and the RK4
-kernel precomputes the N x N operators M for a block of stage times with
-one array power, leaving one matrix product per stage.  `expand_system`
+with coefficients that depend on t alone.  Each moment V_p' reads only its
+own x, and x' reads x, f and the sum over its moments, so the linear part
+is an arrow (row 0 and column 0 of an N x N matrix) and the system is
+described by 2N time factors K * t ** E (`AugmentedSystem`).  The RK4
+kernel evaluates them for a block of steps with one array power; the
+moment sums of a step then take one matrix product.  `expand_system`
 also takes several orders alpha of one N, stacked along a leading batch
 axis, each member bit for bit as if alone.  alpha = 1 has no expansion:
 the weights contain Gamma(1-alpha) and Gamma(alpha-1) poles there, so the
@@ -292,8 +293,8 @@ def approx_rl_derivative(x: SampledFunction, cfg: ExpansionConfig, t: float) -> 
 def _powers(cfg: ExpansionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exponents E and factors K of the 2N time factors K * t ** E of one config.
 
-    In order: column 0 of the operator before its scale, -A t^(-alpha) and
-    C_p t^(1-p-alpha) for p = 2 ... N; row 0, the auxiliary rates
+    In order: the weights before their scale, -A t^(-alpha) of the value
+    and C_p t^(1-p-alpha) of the moments for p = 2 ... N; the moment rates
     (1-p) t^(p-2) for p = 2 ... N; and the scale s = t^(alpha-1) / A'.
     """
     coefs = ExpansionCoefficients.from_config(cfg)
@@ -307,21 +308,22 @@ def _powers(cfg: ExpansionConfig) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    """The ordinary system that replaces D^alpha x = rhs(t, x), as a linear operator.
+    """The ordinary system that replaces D^alpha x = rhs(t, x), in arrow form.
 
-    A state is a block Z of shape batch + (d, N): row k holds physical
-    state x_k in column 0 and its moments V_2^k ... V_N^k in columns 1 ...
-    N-1.  The moment equations are linear in Z with time-only
-    coefficients, so the whole system reads
+    Each physical state x_k (k < d) carries its moments V_2^k ... V_N^k.
+    A moment reads only its own x_k, and x_k reads only itself, its
+    moments and rhs, with coefficients that depend on t alone:
 
-        Z' = Z M(t) + s(t) rhs(t, Z[..., 0]) in column 0,
+        x_k'   = s(t) rhs_k(t, x) + a(t) x_k + sum_p g_p(t) V_p^k,
+        V_p^k' = r_p(t) x_k,
 
-    where the N x N operator M(t) is zero but for column 0,
-    s [-A t^(-alpha), C_2 t^(-1-alpha), ..., C_N t^(1-N-alpha)], and row 0,
-    the rates (1-p) t^(p-2) of the moments, and s(t) = t^(alpha-1) / A'.
-    exponents and factors (batch + (2N,)) give the entries as K * t ** E
-    (see `_powers`); rhs is the physical right-hand side, called with
-    states of shape batch + (d,).
+    with the scale s = t^(alpha-1) / A', a = -s A t^(-alpha),
+    g_p = s C_p t^(1-p-alpha) and r_p = (1-p) t^(p-2).  As an operator on
+    (x_k, V_2^k, ..., V_N^k) this is an arrow: only row 0 and column 0 are
+    non-zero, so nothing here is N x N.  exponents and factors
+    (batch + (2N,)) give -A t^(-alpha), the C_p t^(1-p-alpha), the r_p and
+    s as K * t ** E (see `_powers`); rhs is the physical right-hand side,
+    called with states of shape batch + (d,).
 
     Calling the system evaluates it on flat states (see `expand_system`).
     """
@@ -331,32 +333,21 @@ class AugmentedSystem:
     exponents: np.ndarray
     factors: np.ndarray
 
-    def field(self, times: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-        """The right-hand side Z' (t, Z) for t among the 1-D array times.
+    def arrow(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The pieces (s, a, g, r) at every entry of times, of shape lead + (k,).
 
-        Builds M(t) and s(t) for every time up front, with one array power,
-        so that each call costs one matrix product, one rhs call and one
-        column-0 add.  Every member of a batch takes its own product and
-        the same elementwise operations, so a member of a batch equals the
-        same config alone, bit for bit (given an rhs whose rows do not
-        interact), and M(t) does not depend on the other times.
+        s and a have shape lead + batch + (k,), g and r (the weights g_p and
+        rates r_p, p = 2 ... N) lead + batch + (k, N-1), all from one array
+        power.  Every member of a batch takes the same elementwise
+        operations, so its pieces equal those of its config alone, bit for
+        bit, and no entry depends on the other times.
         """
         n = self.order_n
-        g = self.factors * times.reshape(times.shape + (1,) * self.factors.ndim) ** self.exponents
-        ops = np.zeros(g.shape[:-1] + (n, n))  # (T,) + batch + (N, N)
-        ops[..., 0] = g[..., :n] * g[..., -1:]
-        ops[..., 0, 1:] = g[..., n:-1]
-        scales = g[..., -1:]  # (T,) + batch + (1,): broadcasts against rhs values
-        index = {t: k for k, t in enumerate(times.tolist())}
-        rhs = self.rhs
-
-        def stage(t: float, z: np.ndarray) -> np.ndarray:
-            k = index[t]
-            dz = z @ ops[k]
-            dz[..., 0] += scales[k] * rhs(t, z[..., 0])
-            return dz
-
-        return stage
+        batch = self.factors.ndim - 1
+        t = times.reshape(times.shape[:-1] + (1,) * batch + times.shape[-1:] + (1,))
+        powers = self.factors[..., None, :] * t ** self.exponents[..., None, :]
+        s = powers[..., -1]
+        return s, powers[..., 0] * s, powers[..., 1:n] * s[..., None], powers[..., n:-1]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         """The right-hand side on flat states y of shape batch + (d * N,).
@@ -367,10 +358,12 @@ class AugmentedSystem:
         """
         n = self.order_n
         d = y.shape[-1] // n
-        z = np.concatenate([y[..., :d, None], y[..., d:].reshape(y.shape[:-1] + (d, n - 1))],
-                           axis=-1)
-        dz = self.field(np.array([t], dtype=float))(t, z)
-        return np.concatenate([dz[..., 0], dz[..., 1:].reshape(y.shape[:-1] + (-1,))], axis=-1)
+        x = y[..., :d]
+        v = y[..., d:].reshape(y.shape[:-1] + (d, n - 1))
+        s, a, g, r = self.arrow(np.array([t], dtype=float))
+        dx = s * self.rhs(t, x) + a * x + (v @ np.swapaxes(g, -1, -2))[..., 0]
+        dv = x[..., None] * r
+        return np.concatenate([dx, dv.reshape(y.shape[:-1] + (-1,))], axis=-1)
 
 
 def expand_system(f: Callable[[float, np.ndarray], np.ndarray],
@@ -385,12 +378,12 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray],
                * t^(alpha-1) / A',
 
     while each moment follows V_p^k' = (1-p) t^(p-2) x_k, all starting from
-    V_p^k(0) = 0.  The result is that system as the linear operator plus
-    f of `AugmentedSystem`: its `field` drives the RK4 kernel on block
-    states of shape batch + (d, N), and calling it evaluates flat states
-    of shape batch + (d * N,).  The operator form applies the scale s to
-    each weight before the sum, so results differ by about 1e-14 relative
-    from the bracket-then-scale evaluation above.
+    V_p^k(0) = 0.  The result is that system in the arrow form of
+    `AugmentedSystem`: the RK4 kernel steps its pieces (`arrow`), and
+    calling it evaluates flat states of shape batch + (d * N,).  The arrow
+    form applies the scale s to each weight before the sum, so results
+    differ by about 1e-14 relative from the bracket-then-scale evaluation
+    above.
 
     Raises ValueError for alpha = 1, which has no expansion (the classical
     bypass lives in `integrate.simulate_fractional`), or for configs of

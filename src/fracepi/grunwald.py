@@ -207,10 +207,12 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
             far = _convolve(far_w, y[:s], s + 1, count)
             for k in range(s + 1, s + count + 1):
                 history = far[k - s - 1] + near_w[tail - (k - s):] @ y[s:k]
-                y_k = h_alpha * classical_rhs(ts[k - 1], y[k - 1], params) - history
-                if not np.isfinite(y_k).all():
-                    raise BlowUpError(time=float(ts[k]), step_index=k)
-                y[k] = y_k
+                y[k] = h_alpha * classical_rhs(ts[k - 1], y[k - 1], params) - history
+            # Once per block: a non-finite node only spoils the nodes after it.
+            finite = np.isfinite(y[s + 1:s + count + 1]).all(axis=1)
+            if not finite.all():
+                k = s + 1 + int(np.argmin(finite))
+                raise BlowUpError(time=float(ts[k]), step_index=k)
     series = TimeSeries(times=ts, values=y, columns=DENGUE_COLUMNS)
     _warn_undershoot(series, params)
     return series

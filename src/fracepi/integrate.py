@@ -1,7 +1,7 @@
-"""The dengue simulation drivers: one body, one fixed-step RK4 kernel.
+"""The dengue simulation drivers: one body, fixed-step RK4 kernels.
 
 `simulate_classical`, `simulate_fractional` and `simulate_batch` share one
-body, in which the RK4 kernel writes each node's state into the
+body, in which an RK4 kernel writes each node's state into the
 preallocated result array; there is no general-purpose ODE integrator.
 alpha = 1 runs the classical field (auxiliary columns stay zero); alpha < 1
 integrates the augmented system produced by `expansion.expand_system`.  Its
@@ -12,20 +12,26 @@ auxiliary V_p at zero.  The first grid interval is crossed with
 geometrically growing sub-steps: near the offset the stiff x/t terms demand
 steps proportional to t, and a full-size first step would destroy the run.
 
-The body and the kernel work on any batch shape.  A fractional state is a
-block of shape batch + (5, N), each compartment in column 0 of its row and
-its moments V_2 ... V_N after it: a single run is the batch of shape (),
-and `simulate_batch` steps B orders together on a (B, 5, N) state,
-storing only the five physical columns.  For a block of steps the kernel
-precomputes the augmented system's operators at every stage time, as many
-steps as BLOCK_ENTRIES operator entries hold, so its memory stays flat in N
-and B, and each stage is one matrix product, one `classical_rhs` call and
-one column-0 add.  Every operation acts member by member, so each member of
-a batch equals its single run bit for bit, whatever the block length, and a
-member that blows up is marked failed while the others run on.  The
-alpha = 1 bypass and `simulate_classical` keep their bits; fractional runs
-differ by about 1e-14 relative from the version that scaled the bracket of
-the expansion after summing it.
+The body works on any batch shape: a single run is the batch of shape (),
+and `simulate_batch` steps B orders of one N together, storing only the
+five physical columns.  The augmented system is an arrow (see
+`expansion.AugmentedSystem`): each moment V_p reads only its compartment
+x, and x reads the sum of its moments.  So the fractional kernels keep x
+(batch + (5,)) apart from the moments w (batch + (N-1, 5)).  For a block
+of steps they evaluate the arrow's time factors at every stage time, as
+many steps as BLOCK_ENTRIES factors hold, so their memory stays flat in N
+and B.  Each step then takes one matrix product for the moment sums at
+its three stage times, four stages on the five physical states alone
+(the moments enter each stage as that sum plus one precomputed scalar
+times the previous stage's x), and one matrix product that updates w.
+A single run does the stage arithmetic on Python floats, which is several
+times cheaper than numpy on five numbers; a batch does the same
+operations in the same order on (B, 5) arrays, so each member equals its
+single run bit for bit, and a member that blows up is marked failed while
+the others run on.  The classical field (`simulate_classical` and the
+alpha = 1 bypass) is stepped on Python floats too, by plain RK4 stages
+without moment terms.  Fractional runs differ by about 1e-14 relative from the
+version that scaled the bracket of the expansion after summing it.
 """
 
 from __future__ import annotations
@@ -64,9 +70,10 @@ UNDERSHOOT_TOL = 1e-6
 # Default start offset epsilon (days) of a fractional run.
 START_OFFSET = 1e-6
 
-# Operator entries (3 stage times x batch x N x N per step) that one block of
+# Time factors (3 stage times x batch x 2N per step) that one block of
 # fractional RK4 steps precomputes: caps the block's memory whatever N and
-# the batch size.
+# the batch size.  A step holds O(N) numbers per member, not the N x N of
+# a dense operator.
 BLOCK_ENTRIES = 4096
 
 # A TimeGrid of more nodes is rejected before any array is allocated.
@@ -160,55 +167,168 @@ class TimeSeries:
         return i if times[i] - t < t - times[i - 1] else i - 1
 
 
-def _rk4(field: Callable[[float, np.ndarray], np.ndarray] | AugmentedSystem, ts: np.ndarray,
-         y: np.ndarray, out, fail_t: np.ndarray) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta from the state y at ts[0]; returns the last state.
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4(f: Callable[[float, list], Sequence[float]], ts: np.ndarray, x: list,
+         out: np.ndarray, fail_t: np.ndarray) -> list:
+    """Classical fourth-order Runge-Kutta on Python floats; returns the last state.
 
-    field is the right-hand side f(t, y), or an `AugmentedSystem`, whose
-    operators the kernel precomputes for blocks of steps: each block holds
-    the stage times t, t + h/2 and t + h of as many steps as fit
-    BLOCK_ENTRIES operator entries, and at least one.  The leading
-    fail_t.ndim axes of y are the batch, one member per entry of fail_t;
-    out[i] = y stores the state at ts[i] for i >= 1.  A member whose state
-    turns non-finite gets the time it failed to reach in fail_t (NaN while
-    the member runs); it steps on as NaN or inf, which no other member
-    reads, and the kernel returns as soon as every member has failed.  The
-    field must keep members apart too, as `AugmentedSystem` and
-    `classical_rhs` do.
+    x is the state at ts[0] as a list of floats, and f(t, x) returns the
+    derivative as a sequence of floats.  out[i] = x stores the state at
+    ts[i] for i >= 1.  A state that turns non-finite puts the time it
+    failed to reach into the 0-d fail_t (NaN while the run goes on) and
+    ends the run.
     """
-    system = field if isinstance(field, AugmentedSystem) else None
-    block = (max(1, BLOCK_ENTRIES // (3 * y[..., 0, :].size * y.shape[-1]))
-             if system is not None else 0)
-    member_axes = tuple(range(fail_t.ndim, y.ndim))
-    f = field
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(ts) - 1):
-            if system is not None and i % block == 0:
-                nodes = ts[i:i + block + 1]
-                t, h = nodes[:-1], np.diff(nodes)
-                f = system.field(np.concatenate([t, t + 0.5 * h, t + h]))
-            t = ts[i]
-            h = ts[i + 1] - t
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
-                bad = ~np.isfinite(y).all(axis=member_axes)
-                fail_t[bad & np.isnan(fail_t)] = ts[i + 1]
+    tl = ts.tolist()
+    isfinite = math.isfinite
+    for i in range(len(tl) - 1):
+        t = tl[i]
+        h = tl[i + 1] - t
+        hh = 0.5 * h
+        k1 = f(t, x)
+        k2 = f(t + hh, [xc + hh * kc for xc, kc in zip(x, k1)])
+        k3 = f(t + hh, [xc + hh * kc for xc, kc in zip(x, k2)])
+        k4 = f(t + h, [xc + h * kc for xc, kc in zip(x, k3)])
+        h6 = h / 6.0
+        x = [xc + h6 * (a + 2.0 * b + 2.0 * c + d) for xc, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        if not all(map(isfinite, x)):
+            fail_t[()] = tl[i + 1]
+            return x
+        out[i + 1] = x
+    return x
+
+
+def _arrow_steps(system: AugmentedSystem,
+                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the RK4 steps between consecutive nodes need of the arrow form.
+
+    For each step from t to t + h, at its stage times t, t + h/2 and t + h
+    (the kernels' own expressions): g, the rows g(t_j) of the moment sums,
+    of shape (steps,) + batch + (3, N-1); rw, the columns (h/6) r(t),
+    (h/3) r(t + h/2) and (h/6) r(t + h) of the moment update, of shape
+    (steps,) + batch + (N-1, 3); and coefs, the scalars s and a at the
+    three times and q_2, q_3, q_4, of shape (steps, 9) + batch.  q_j is the
+    part of stage j's moment sum that the previous stage added to V through
+    its x: (h/2) r(t).g(t + h/2), (h/2) r(t + h/2).g(t + h/2) and
+    h r(t + h/2).g(t + h).
+    """
+    t, h = nodes[:-1], np.diff(nodes)
+    s, a, g, r = system.arrow(np.stack([t, t + 0.5 * h, t + h], axis=-1))
+    lead = (len(h),) + (1,) * (system.factors.ndim - 1)
+    q = (np.stack([0.5 * h, 0.5 * h, h], axis=-1).reshape(lead + (3,))
+         * (r[..., [0, 1, 1], :] * g[..., [1, 1, 2], :]).sum(axis=-1))
+    weights = np.stack([h / 6.0, h / 3.0, h / 6.0], axis=-1).reshape(lead + (3, 1))
+    rw = np.ascontiguousarray(np.swapaxes(weights * r, -1, -2))
+    coefs = np.moveaxis(np.concatenate([s, a, q], axis=-1), -1, 1)
+    return g, rw, coefs
+
+
+def _block_steps(system: AugmentedSystem) -> int:
+    """RK4 steps per block: BLOCK_ENTRIES time factors, and at least one step."""
+    return max(1, BLOCK_ENTRIES // (3 * system.factors.size))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: list, w: np.ndarray, out,
+               fail_t: np.ndarray) -> tuple[list, np.ndarray]:
+    """RK4 on the augmented system of one config; returns the last (x, w).
+
+    x holds the d physical states as Python floats and w, of shape
+    (N-1, d), their moments V_2 ... V_N, one row per p; w is updated in
+    place.  Each step takes one product g @ w for the moment sums at its
+    three stage times; its four stages then act on x alone, and one
+    product rw @ [x_1, x_2 + x_3, x_4] of the stage states updates w (see
+    `_arrow_steps`).  The stage arithmetic is `_rk4_arrow_batch`'s,
+    operation for operation.  out[i] = (x, w) stores the state at ts[i]
+    for i >= 1; a non-finite state ends the run as in `_rk4`.
+    """
+    f = system.rhs
+    isfinite = math.isfinite
+    block = _block_steps(system)
+    for start in range(0, len(ts) - 1, block):
+        nodes = ts[start:start + block + 1]
+        tl = nodes.tolist()
+        g, rw, coefs = _arrow_steps(system, nodes)
+        for k, (s1, s2, s4, a1, a2, a4, q2, q3, q4) in enumerate(coefs.tolist()):
+            t = tl[k]
+            h = tl[k + 1] - t
+            hh = 0.5 * h
+            m1, m2, m4 = (g[k] @ w).tolist()
+            k1 = [s1 * fc + a1 * xc + mc for fc, xc, mc in zip(f(t, x), x, m1)]
+            x2 = [xc + hh * kc for xc, kc in zip(x, k1)]
+            k2 = [s2 * fc + a2 * xc + (mc + q2 * pc)
+                  for fc, xc, mc, pc in zip(f(t + hh, x2), x2, m2, x)]
+            x3 = [xc + hh * kc for xc, kc in zip(x, k2)]
+            k3 = [s2 * fc + a2 * xc + (mc + q3 * pc)
+                  for fc, xc, mc, pc in zip(f(t + hh, x3), x3, m2, x2)]
+            x4 = [xc + h * kc for xc, kc in zip(x, k3)]
+            k4 = [s4 * fc + a4 * xc + (mc + q4 * pc)
+                  for fc, xc, mc, pc in zip(f(t + h, x4), x4, m4, x3)]
+            w += rw[k] @ np.array([x, [b + c for b, c in zip(x2, x3)], x4])
+            h6 = h / 6.0
+            x = [xc + h6 * (a + 2.0 * b + 2.0 * c + d)
+                 for xc, a, b, c, d in zip(x, k1, k2, k3, k4)]
+            if not (all(map(isfinite, x)) and np.isfinite(w).all()):
+                fail_t[()] = tl[k + 1]
+                return x, w
+            out[start + k + 1] = (x, w)
+    return x, w
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: np.ndarray,
+                     out, fail_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_rk4_arrow` for a batch of B configs of one order; returns the last (x, w).
+
+    x has shape (B, d) and w (B, N-1, d), and every operation is
+    `_rk4_arrow`'s on one row per member, so each member equals its
+    single run bit for bit.  A member whose state turns non-finite gets
+    the time it failed to reach in fail_t (shape (B,), NaN while the
+    member runs); it steps on as NaN or inf, which no other member reads,
+    and the kernel returns as soon as every member has failed.
+    """
+    f = system.rhs
+    block = _block_steps(system)
+    stages = np.empty(x.shape[:-1] + (3, x.shape[-1]))  # [x_1, x_2 + x_3, x_4] per member
+    stage_1, stage_23, stage_4 = stages.swapaxes(0, 1)
+    for start in range(0, len(ts) - 1, block):
+        nodes = ts[start:start + block + 1]
+        tl = nodes.tolist()
+        g, rw, coefs = _arrow_steps(system, nodes)
+        coefs = coefs[..., None]
+        for k in range(len(coefs)):
+            t = tl[k]
+            h = tl[k + 1] - t
+            hh = 0.5 * h
+            s1, s2, s4, a1, a2, a4, q2, q3, q4 = coefs[k]
+            m1, m2, m4 = (g[k] @ w).swapaxes(0, 1)
+            k1 = s1 * f(t, x) + a1 * x + m1
+            x2 = x + hh * k1
+            k2 = s2 * f(t + hh, x2) + a2 * x2 + (m2 + q2 * x)
+            x3 = x + hh * k2
+            k3 = s2 * f(t + hh, x3) + a2 * x3 + (m2 + q3 * x2)
+            x4 = x + h * k3
+            k4 = s4 * f(t + h, x4) + a4 * x4 + (m4 + q4 * x3)
+            np.copyto(stage_1, x)
+            np.add(x2, x3, out=stage_23)
+            np.copyto(stage_4, x4)
+            w += rw[k] @ stages
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (np.isfinite(x).all() and np.isfinite(w).all()):
+                bad = ~(np.isfinite(x).all(axis=-1) & np.isfinite(w).all(axis=(-2, -1)))
+                fail_t[bad & np.isnan(fail_t)] = tl[k + 1]
                 if bad.all():
-                    return y
-            out[i + 1] = y
-    return y
+                    return x, w
+            out[start + k + 1] = (x, w)
+    return x, w
 
 
 class _Columns:
-    """Row writer from block states Z (batch + (5, N)) into the column layout.
+    """Row writer from arrow states (x, w) into the column layout.
 
     values has shape (nodes,) + batch + (width,), its columns the five
     physical states and, if width > 5, the moments state-major
-    (`aux_column_names`); self[i] = Z writes row i.
+    (`aux_column_names`); self[i] = (x, w) writes row i, x of shape
+    batch + (5,) (or a list) and w of shape batch + (N-1, 5).
     """
 
     def __init__(self, values: np.ndarray):
@@ -217,10 +337,11 @@ class _Columns:
         self.moments = (values[..., 5:].reshape(values.shape[:-1] + (5, -1))
                         if values.shape[-1] > 5 else None)
 
-    def __setitem__(self, i: int, z: np.ndarray) -> None:
-        self.physical[i] = z[..., 0]
+    def __setitem__(self, i: int, state: tuple) -> None:
+        x, w = state
+        self.physical[i] = x
         if self.moments is not None:
-            self.moments[i] = z[..., 1:]
+            self.moments[i] = w.swapaxes(-1, -2)
 
 
 def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
@@ -295,9 +416,9 @@ def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[Expansio
     """Integrate the fractional model for several orders at once, one kernel for all.
 
     cfgs is a non-empty sequence of configs of one order N, each with
-    alpha < 1; the state has shape (B, 5, N), one member per config, and only
-    the five physical columns are stored, so the result's memory does not
-    grow with N.  Entry b of the result is what
+    alpha < 1; the state is x of shape (B, 5) and its moments of shape
+    (B, N-1, 5), one member per config, and only the five physical columns
+    are stored, so the result's memory does not grow with N.  Entry b of the result is what
     `simulate_fractional` returns for cfgs[b], bit for bit, or the
     BlowUpError it would raise: a member that blows up is marked at the grid
     node it failed to reach while the others run on.
@@ -350,19 +471,14 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
         return classical_rhs(t, y, params)
 
     nodes = grid.nodes()
-    if cfg is None:
-        shape, y = (), y0.as_array()
-    else:
-        system = expand_system(f, cfg)
-        shape = system.factors.shape[:-1]
-        y = np.zeros(shape + (5, system.order_n))
-        y[..., 0] = y0.as_array()
+    system = None if cfg is None else expand_system(f, cfg)
+    shape = () if system is None else system.factors.shape[:-1]
     values = np.zeros((len(nodes),) + shape + (width,))
     values[0, ..., :5] = y0.as_array()
     fail_t = np.full(shape, np.nan)
-    if cfg is None:
+    if system is None:
         # keep_aux of the classical bypass: the auxiliary columns stay zero.
-        _rk4(f, nodes, y, values[..., :5], fail_t)
+        _rk4(f, nodes, y0.as_array().tolist(), values[..., :5], fail_t)
         return nodes, values, fail_t
     if start_offset <= 0 or not math.isfinite(start_offset):
         raise ValueError(f"start_offset must be positive and finite, got {start_offset!r}")
@@ -375,10 +491,15 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     while ramp[-1] * RAMP_FACTOR < nodes[1]:
         ramp.append(ramp[-1] * RAMP_FACTOR)
     ramp_ts = np.array(ramp + [nodes[1]])
-    y = _rk4(system, ramp_ts, y, _Columns(np.empty((len(ramp_ts),) + values.shape[1:])),
-             fail_t)
+    if shape:
+        step, x = _rk4_arrow_batch, np.broadcast_to(y0.as_array(), shape + (5,)).copy()
+    else:
+        step, x = _rk4_arrow, y0.as_array().tolist()
+    w = np.zeros(shape + (system.order_n - 1, 5))
+    state = step(system, ramp_ts, x, w, _Columns(np.empty((len(ramp_ts),) + values.shape[1:])),
+                 fail_t)
     out = _Columns(values[1:])
-    out[0] = y
+    out[0] = state
     if np.isnan(fail_t).any():
-        _rk4(system, nodes[1:], y, out, fail_t)
+        step(system, nodes[1:], *state, out, fail_t)
     return nodes, values, fail_t

@@ -5,23 +5,25 @@ import numpy as np
 import pytest
 
 from fracepi import integrate
-from fracepi.dengue import population_drift
-from fracepi.expansion import ExpansionConfig
-from fracepi.integrate import (MAX_NODES, BlowUpError, TimeGrid, TimeSeries, _rk4,
-                               aux_column_names, simulate_batch, simulate_classical,
-                               simulate_fractional)
+from fracepi.dengue import classical_rhs, population_drift
+from fracepi.expansion import ExpansionConfig, expand_system
+from fracepi.integrate import (MAX_NODES, BlowUpError, TimeGrid, TimeSeries, _Columns, _rk4,
+                               _rk4_arrow, aux_column_names, simulate_batch,
+                               simulate_classical, simulate_fractional)
 
 
 def _rk4_values(f, y0, grid):
     """The RK4 kernel's trajectory of y' = f(t, y) from y0 over the grid's nodes.
 
-    Raises the BlowUpError of the time the kernel records as failed.
+    f takes and returns arrays; the kernel steps Python floats, so it sees
+    f through a list-to-list wrapper.  Raises the BlowUpError of the time
+    the kernel records as failed.
     """
     ts = grid.nodes()
     values = np.empty((len(ts), len(y0)))
     values[0] = y0
     fail_t = np.full((), np.nan)
-    _rk4(f, ts, y0, values, fail_t)
+    _rk4(lambda t, y: f(t, np.array(y)).tolist(), ts, y0.tolist(), values, fail_t)
     if not np.isnan(fail_t):
         raise BlowUpError(time=float(fail_t), step_index=int(np.searchsorted(ts, fail_t)))
     return values
@@ -98,6 +100,32 @@ class TestIntegrateRk4:
         with pytest.raises(BlowUpError) as exc_info:
             _rk4_values(lambda t, y: y * y, np.array([2.0]), TimeGrid(0.0, 1.0, 0.01))
         assert 0.0 < exc_info.value.time <= 1.0
+
+
+class TestArrowKernel:
+    @pytest.mark.parametrize("alpha, order_n", [(0.9, 5), (0.6, 12)])
+    def test_matches_textbook_rk4_on_the_flat_system(self, scenario, alpha, order_n):
+        # The kernel folds the moments into one product per step and one
+        # scalar per stage; textbook RK4 on the flat augmented right-hand
+        # side, from moments of a constant trajectory, must agree to roundoff.
+        params, y0 = scenario
+        system = expand_system(lambda t, y: classical_rhs(t, y, params),
+                               ExpansionConfig(alpha, order_n))
+        ts = np.array([0.5, 0.6, 0.75, 0.8, 1.3])
+        x = y0.as_array()
+        v = -np.outer(x, ts[0] ** np.arange(1.0, order_n))
+        y = np.concatenate([x, v.ravel()])
+        for t, h in zip(ts[:-1], np.diff(ts)):
+            k1 = system(t, y)
+            k2 = system(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = system(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = system(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values = np.empty((len(ts), len(y)))
+        fail_t = np.full((), np.nan)
+        _rk4_arrow(system, ts, x.tolist(), np.ascontiguousarray(v.T), _Columns(values), fail_t)
+        assert np.isnan(fail_t)
+        np.testing.assert_allclose(values[-1], y, rtol=1e-12, atol=0.0)
 
 
 class TestSimulateClassical:
@@ -379,14 +407,18 @@ class TestOperatorBlocks:
     # 107 ramp sub-steps from 1e-6 to the first node at 0.01, then 300 steps:
     # blocks of 37 steps end inside both.
     GRID = TimeGrid(0.0, 3.0, 0.01)
-    # A 512-step block of dense operators holds 10 MB per stage time at
-    # N = 50, and 20 MB for 100 members at N = 7.
+    # A 512-step block of dense N x N operators would hold 10 MB per stage
+    # time at N = 50 and 20 MB for 100 members at N = 7, and one step's
+    # three of them 24 MB at N = 1000; the arrow form holds O(N) per step.
     PEAK_BYTES = 4_000_000
 
     @staticmethod
     def _with_block(monkeypatch, steps, members, order_n=7):
-        """Patch the entry budget so that every block holds `steps` RK4 steps."""
-        monkeypatch.setattr(integrate, "BLOCK_ENTRIES", steps * 3 * members * order_n ** 2)
+        """Patch the entry budget so that every block holds `steps` RK4 steps.
+
+        A step takes 3 stage times x 2N time factors per member.
+        """
+        monkeypatch.setattr(integrate, "BLOCK_ENTRIES", steps * 3 * members * 2 * order_n)
 
     @pytest.mark.parametrize("steps", [1, 37])
     def test_solo_run_with_moments(self, scenario, monkeypatch, steps):
@@ -436,6 +468,19 @@ class TestOperatorBlocks:
         peak = self._peak_bytes(lambda: simulate_fractional(
             params, y0, ExpansionConfig(0.95, 50), TimeGrid(0.0, 2.0, 0.01)))
         assert peak < self.PEAK_BYTES
+
+    def test_largest_order_solo_run_memory(self, scenario):
+        # t^(1-p-alpha) overflows at the first ramp sub-step, so the run
+        # blows up there, after its first block is built.
+        params, y0 = scenario
+
+        def run():
+            with pytest.raises(BlowUpError) as exc_info:
+                simulate_fractional(params, y0, ExpansionConfig(0.95, 1000),
+                                    TimeGrid(0.0, 2.0, 0.01))
+            assert exc_info.value.step_index == 1
+
+        assert self._peak_bytes(run) < self.PEAK_BYTES
 
     def test_large_batch_memory(self, scenario):
         params, y0 = scenario
