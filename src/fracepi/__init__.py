@@ -23,12 +23,11 @@ from .dengue import (ModelParams, StateVector, classical_rhs, default_scenario,
                      population_drift)
 from .expansion import (DegenerateCoefficientError, ExpansionCoefficients,
                         ExpansionConfig, PoleError, SampledFunction,
-                        approx_rl_derivative, approx_rl_derivative_on_grid,
-                        coeff_a, coeff_a_prime, coeff_c, expand_system, gamma)
+                        approx_rl_derivative_on_grid, coeff_a, coeff_a_prime,
+                        coeff_c, expand_system, gamma)
 from .fitting import (CurvePoint, FitFailedError, FitResult, ObservedSeries,
                       fit_alpha, generate_synthetic, percentage_error)
-from .grunwald import (gl_derivative_at, gl_derivative_on_grid, gl_simulate, gl_weights,
-                       power_rule_exact)
+from .grunwald import gl_derivative_on_grid, gl_simulate, gl_weights, power_rule_exact
 from .integrate import (BlowUpError, TimeGrid, TimeSeries, simulate_batch,
                         simulate_classical, simulate_fractional)
 
@@ -50,7 +49,6 @@ __all__ = [
     "StateVector",
     "TimeGrid",
     "TimeSeries",
-    "approx_rl_derivative",
     "approx_rl_derivative_on_grid",
     "classical_rhs",
     "coeff_a",
@@ -61,7 +59,6 @@ __all__ = [
     "fit_alpha",
     "gamma",
     "generate_synthetic",
-    "gl_derivative_at",
     "gl_derivative_on_grid",
     "gl_simulate",
     "gl_weights",

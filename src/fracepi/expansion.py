@@ -58,7 +58,6 @@ __all__ = [
     "coeff_a",
     "coeff_a_prime",
     "coeff_c",
-    "approx_rl_derivative",
     "approx_rl_derivative_on_grid",
     "AugmentedSystem",
     "expand_system",
@@ -235,14 +234,6 @@ class SampledFunction:
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def index_at(self, t: float) -> int:
-        """Index of the grid node equal to t; rejects off-grid times."""
-        h = self.step
-        i = round((t - self.times[0]) / h)
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t = {t!r} is not a node of the sample grid")
-        return int(i)
-
 
 def approx_rl_derivative_on_grid(x: SampledFunction, cfg: ExpansionConfig) -> np.ndarray:
     """Evaluate the expansion of the fractional derivative of x at every node but t = 0.
@@ -277,17 +268,6 @@ def approx_rl_derivative_on_grid(x: SampledFunction, cfg: ExpansionConfig) -> np
         raise FloatingPointError(f"expansion of order {cfg.order_n} is not finite on this "
                                  "grid: t^(1-p-alpha) overflows at small t")
     return result
-
-
-def approx_rl_derivative(x: SampledFunction, cfg: ExpansionConfig, t: float) -> float:
-    """Expansion of the fractional derivative of x at the grid node t > 0.
-
-    This is the entry of `approx_rl_derivative_on_grid` that belongs to t.
-    """
-    i = x.index_at(t)
-    if i == 0:
-        raise ValueError("t must be strictly greater than the lower terminal")
-    return float(approx_rl_derivative_on_grid(x, cfg)[i - 1])
 
 
 def _powers(cfg: ExpansionConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -18,19 +18,21 @@ values for monomials, the third leg of the validation triangle.
     y_n = h^alpha f(t_{n-1}, y_{n-1}) - sum_{j=1}^{n} w_j y_{n-j},
 
 which collapses to explicit Euler at alpha = 1 (the weights become
-1, -1, 0, 0, ...).  The full history is kept but summed in blocks of
-`_BLOCK` nodes (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6,
-1985): at the start of each block one pass of fixed-size FFT convolutions
-adds up the contribution of every older node to every node of the block,
-and a direct dot product over the block's own nodes supplies the rest.
-The per-node cost is then a short dot product, not a sum over the whole
-history.  `gl_derivative_on_grid` evaluates the operator on a whole grid
-with the same convolution.
+1, -1, 0, 0, ...).  Both it and `gl_derivative_on_grid` take their sums
+from one loop, `_gl_sums`, which keeps the full history but sums it in
+blocks of `_BLOCK` nodes (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6, 1985): at the start of each block one pass of fixed-size FFT
+convolutions adds up the contribution of every older node to every node
+of the block, and a direct dot product over the block's own nodes
+supplies the rest.  The per-node cost is then a short dot product, not a
+sum over the whole history.  The loop reads its values in reverse time
+order, so the stepper keeps its state that way.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .integrate import BlowUpError, DENGUE_COLUMNS, TimeGrid, TimeSeries, _warn_
 
 __all__ = [
     "gl_weights",
-    "gl_derivative_at",
     "gl_derivative_on_grid",
     "power_rule_exact",
     "gl_simulate",
@@ -97,50 +98,44 @@ def _convolve(v: np.ndarray, y: np.ndarray, first: int, count: int) -> np.ndarra
     return fft.irfft(acc, _FFT_LEN)[:, _CHUNK - 1:_CHUNK - 1 + count].T
 
 
-def _far_weights(w: np.ndarray) -> np.ndarray:
-    """The weights for the nodes before a block: w with w_0 = w_1 = 0.
+def _gl_sums(w: np.ndarray, y_rev: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the history sums sum_{j=0}^{k} w_j y_{k-j} for k = 1 ... n.
 
-    Those nodes only ever meet lags j >= 2, so nothing is lost, and at
-    alpha = 1, where every such weight is exactly 0, their sum is exactly 0.
+    y_rev holds y_n, ..., y_0 (reverse time order) along its first axis,
+    as scalars or as rows.  The sums are split at the start of each block
+    of `_BLOCK` nodes: `_convolve` adds up the nodes before the block, and
+    a direct dot product the block's own nodes, in the order of increasing
+    j.  The nodes before a block only ever meet lags j >= 2, so the far
+    field takes w with w_0 = w_1 = 0; at alpha = 1, where every such weight
+    is exactly 0, it is exactly 0.
+
+    The sum for k reads y_0 ... y_k only when it is asked for, and the nodes
+    before a block when its first sum is, so a caller may fill y_rev while
+    it iterates.
     """
+    n = len(y_rev) - 1
     far_w = w.copy()
     far_w[:2] = 0.0
-    return far_w
+    older = y_rev.reshape(n + 1, -1)[::-1]      # y_0, ..., y_n, one row each
+    for s in range(0, n, _BLOCK):
+        count = min(_BLOCK, n - s)
+        far = _convolve(far_w, older[:s], s + 1, count).reshape((count,) + y_rev.shape[1:])
+        for k in range(s + 1, s + count + 1):
+            yield far[k - s - 1] + w[:k - s + 1] @ y_rev[n - k:n - s + 1]
 
 
 def gl_derivative_on_grid(x: SampledFunction, alpha: float) -> np.ndarray:
     """Backward-difference values of the fractional derivative at every node but t_0.
 
     Entry k - 1 is h^(-alpha) sum_{j=0}^{k} w_j x(t_{k-j}) and belongs to
-    x.times[k].  The sums are split in blocks as in `gl_simulate`; the
-    block's own nodes are summed directly, in the order of increasing j, so
-    the first `_BLOCK` entries carry the bits of a direct sum, and later ones
-    equal it to about 1e-12 relative.  Converges with first order in the
-    grid step for the smooth functions used here.
+    x.times[k].  The sums come from `_gl_sums`, so the first `_BLOCK`
+    entries carry the bits of a direct sum, and later ones equal it to
+    about 1e-12 relative.  Converges with first order in the grid step for
+    the smooth functions used here.
     """
     n = len(x.times) - 1
-    w = gl_weights(alpha, n)
-    far_w = _far_weights(w)
-    x_rev = x.values[::-1]
-    sums = np.empty(n)
-    for s in range(0, n, _BLOCK):
-        count = min(_BLOCK, n - s)
-        sums[s:s + count] = _convolve(far_w, x.values[:s, None], s + 1, count)[:, 0]
-        for k in range(s + 1, s + count + 1):
-            sums[k - 1] += w[:k - s + 1] @ x_rev[n - k:n - s + 1]
+    sums = np.fromiter(_gl_sums(gl_weights(alpha, n), x.values[::-1]), float, n)
     return x.step ** (-alpha) * sums
-
-
-def gl_derivative_at(x: SampledFunction, alpha: float, index: int) -> float:
-    """Backward-difference value of the fractional derivative at node index.
-
-    This is the entry of `gl_derivative_on_grid` that belongs to x.times[index].
-    """
-    if index < 1 or index >= len(x.times):
-        raise ValueError(
-            f"index must be in [1, {len(x.times) - 1}], got {index}"
-        )
-    return float(gl_derivative_on_grid(x, alpha)[index - 1])
 
 
 def power_rule_exact(alpha: float, k: int, t: float) -> float:
@@ -168,21 +163,22 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     must be commensurate (uniform steps landing exactly on t_end), because
     the weights assume a single step size.
 
-    The history sum is split at the start of each block of `_BLOCK` nodes:
-    FFT convolution adds up the nodes before the block, and a direct dot
-    product the block's own nodes.  The order of every operation is fixed,
-    so repeated runs are bit-for-bit reproducible.  The results equal the
-    direct sum over the whole history to about 1e-12 relative; at
-    alpha = 1 they are exactly explicit Euler, because the older nodes only
-    meet the weights w_j with j >= 2, which are then exactly 0.
+    The history sums come from `_gl_sums`, the loop that also serves
+    `gl_derivative_on_grid`.  The state is kept in reverse time order in a
+    zero-filled buffer, so y_n is still 0 when its own sum is formed and
+    the w_0 term adds nothing; the result is that buffer read backwards.
+    The order of every operation is fixed, so repeated runs are bit-for-bit
+    reproducible.  The results equal the direct sum over the whole history
+    to about 1e-12 relative; at alpha = 1 they are exactly explicit Euler,
+    because the older nodes only meet the weights w_j with j >= 2, which
+    are then exactly 0.  Finiteness is checked at the end of each block,
+    before the next block's sums read it.
 
     A compartment below zero by more than the tolerance of
     `integrate.simulate_fractional` (a step above explicit stability) is
     reported by the same RuntimeWarning, naming the compartment and the
     time, and never clamped.
     """
-    if not (math.isfinite(alpha) and 0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
     check_population_balance(params, y0)
     span = grid.t_end - grid.t_start
     n = int(round(span / grid.step))
@@ -195,24 +191,20 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     h = span / n
     w = gl_weights(alpha, n)
     h_alpha = h ** alpha
-    far_w = _far_weights(w)
-    near_w = w[_BLOCK:0:-1].copy()    # w_L, ..., w_1 against y_s, ..., y_{k-1}
-    tail = len(near_w)
 
-    y = np.empty((n + 1, 5))
-    y[0] = y0.as_array()
+    y_rev = np.zeros((n + 1, 5))            # y_n, ..., y_0
+    y_rev[n] = y0.as_array()
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, _BLOCK):
-            count = min(_BLOCK, n - s)
-            far = _convolve(far_w, y[:s], s + 1, count)
-            for k in range(s + 1, s + count + 1):
-                history = far[k - s - 1] + near_w[tail - (k - s):] @ y[s:k]
-                y[k] = h_alpha * classical_rhs(ts[k - 1], y[k - 1], params) - history
-            # Once per block: a non-finite node only spoils the nodes after it.
-            finite = np.isfinite(y[s + 1:s + count + 1]).all(axis=1)
-            if not finite.all():
-                k = s + 1 + int(np.argmin(finite))
-                raise BlowUpError(time=float(ts[k]), step_index=k)
-    series = TimeSeries(times=ts, values=y, columns=DENGUE_COLUMNS)
+        for k, history in enumerate(_gl_sums(w, y_rev), 1):
+            y_rev[n - k] = h_alpha * classical_rhs(ts[k - 1], y_rev[n - k + 1], params) - history
+            if k % _BLOCK == 0 or k == n:
+                # At a block's end, before the next block's far field reads it:
+                # a non-finite node only spoils the nodes after it.  Row i is
+                # node k - i, and the rows before the block are finite.
+                finite = np.isfinite(y_rev[n - k:n - k + _BLOCK]).all(axis=1)
+                if not finite.all():
+                    i = k - int(np.flatnonzero(~finite)[-1])
+                    raise BlowUpError(time=float(ts[i]), step_index=i)
+    series = TimeSeries(times=ts, values=y_rev[::-1], columns=DENGUE_COLUMNS)
     _warn_undershoot(series, params)
     return series

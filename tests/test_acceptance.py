@@ -19,10 +19,10 @@ from fracepi.cli import (load_scenario_config, main, read_trajectory_csv,
                          write_observed_csv)
 from fracepi.dengue import classical_rhs, default_scenario, population_drift
 from fracepi.expansion import (ExpansionConfig, SampledFunction,
-                               approx_rl_derivative, coeff_a, coeff_a_prime,
-                               coeff_c, gamma)
+                               approx_rl_derivative_on_grid, coeff_a,
+                               coeff_a_prime, coeff_c, gamma)
 from fracepi.fitting import ObservedSeries, fit_alpha, generate_synthetic
-from fracepi.grunwald import gl_derivative_at, gl_simulate, power_rule_exact
+from fracepi.grunwald import gl_derivative_on_grid, gl_simulate, power_rule_exact
 from fracepi.integrate import TimeGrid, simulate_classical, simulate_fractional
 
 SQRT_PI = math.sqrt(math.pi)
@@ -108,7 +108,7 @@ def test_criterion_3_oracle_vs_closed_form():
                 errors = []
                 for num in (5001, 10001):  # h = 2e-4, 1e-4
                     x = SampledFunction.from_function(lambda t: t ** k, 0.0, 1.0, num)
-                    errors.append(abs(gl_derivative_at(x, alpha, num - 1) - exact))
+                    errors.append(abs(gl_derivative_on_grid(x, alpha)[-1] - exact))
                 assert errors[1] / abs(exact) < 1e-3
                 order = math.log2(errors[0] / errors[1])
                 assert 0.8 <= order <= 1.2
@@ -128,7 +128,7 @@ def test_criterion_4_expansion_accuracy_trend():
         for name, (x, k) in samples.items():
             exact = power_rule_exact(0.5, k, 1.0)
             errors[name] = {
-                n: abs(approx_rl_derivative(x, ExpansionConfig(0.5, n), 1.0) - exact)
+                n: abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, n))[-1] - exact)
                 for n in (5, 20)
             }
 

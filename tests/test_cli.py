@@ -1,12 +1,16 @@
 import contextlib
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fracepi
 from fracepi.cli import (ConfigError, load_scenario_config, main,
                          read_observed_csv, read_trajectory_csv, write_error_curve_csv,
                          write_observed_csv, write_trajectory_csv)
@@ -435,3 +439,14 @@ class TestCliContractProperty:
         config.write_text(text, encoding="utf-8")
         _assert_cli_contract(["simulate", "--config", str(config), *flags,
                               "--out", str(tmp_path / "traj.csv")])
+
+
+def test_cli_import_does_not_load_fft():
+    # The FFT history is needed only by the Grunwald-Letnikov paths, so
+    # every other command's start-up stays free of the numpy.fft import.
+    src = str(Path(fracepi.__file__).parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import fracepi.cli; "
+             "print('numpy.fft' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import pytest
 
 from fracepi.expansion import (MAX_ORDER, DegenerateCoefficientError, ExpansionCoefficients,
                                ExpansionConfig, PoleError, SampledFunction,
-                               approx_rl_derivative, coeff_a, coeff_a_prime,
+                               approx_rl_derivative_on_grid, coeff_a, coeff_a_prime,
                                coeff_c, expand_system, gamma)
 from fracepi.grunwald import power_rule_exact
 
@@ -178,21 +178,12 @@ class TestSampledFunction:
         with pytest.raises(ValueError, match="finite"):
             SampledFunction(times=[0.0, 0.5, 1.0], values=[1.0, math.nan, 1.0])
 
-    def test_index_at(self):
-        x = SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 11)
-        assert x.index_at(0.5) == 5
-        assert x.index_at(1.0) == 10
-        with pytest.raises(ValueError, match="not a node"):
-            x.index_at(0.55)
-        with pytest.raises(ValueError, match="not a node"):
-            x.index_at(1.2)
-
 
 class TestApproxRlDerivative:
     def test_constant_approaches_closed_form(self):
         x = SampledFunction.from_function(lambda t: np.ones_like(t), 0.0, 1.0, 1001)
         target = power_rule_exact(0.5, 0, 1.0)
-        approx = approx_rl_derivative(x, ExpansionConfig(0.5, 20), 1.0)
+        approx = approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 20))[-1]
         assert approx == pytest.approx(target, rel=1e-3)
 
     def test_linear_error_not_worse_with_order_beyond_quadrature_floor(self):
@@ -203,8 +194,8 @@ class TestApproxRlDerivative:
         # the floor by orders of magnitude.
         x = SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 1001)
         target = power_rule_exact(0.5, 1, 1.0)
-        err5 = abs(approx_rl_derivative(x, ExpansionConfig(0.5, 5), 1.0) - target)
-        err20 = abs(approx_rl_derivative(x, ExpansionConfig(0.5, 20), 1.0) - target)
+        err5 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 5))[-1] - target)
+        err20 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 20))[-1] - target)
         floor = _trapezoid_floor(0.5, 20, x.step)
         assert err5 <= floor
         assert err20 <= err5 + floor
@@ -212,8 +203,8 @@ class TestApproxRlDerivative:
     def test_quadratic_error_shrinks_with_order(self):
         x = SampledFunction.from_function(lambda t: t ** 2, 0.0, 1.0, 1001)
         target = power_rule_exact(0.5, 2, 1.0)
-        err5 = abs(approx_rl_derivative(x, ExpansionConfig(0.5, 5), 1.0) - target)
-        err20 = abs(approx_rl_derivative(x, ExpansionConfig(0.5, 20), 1.0) - target)
+        err5 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 5))[-1] - target)
+        err20 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 20))[-1] - target)
         assert err20 <= err5
 
     def test_linearity(self):
@@ -222,30 +213,20 @@ class TestApproxRlDerivative:
         v = SampledFunction(times=ts, values=ts ** 1.5 + 0.2)
         combo = SampledFunction(times=ts, values=2.0 * u.values + 3.0 * v.values)
         cfg = ExpansionConfig(0.5, 8)
-        lhs = approx_rl_derivative(combo, cfg, 1.0)
-        rhs = (2.0 * approx_rl_derivative(u, cfg, 1.0)
-               + 3.0 * approx_rl_derivative(v, cfg, 1.0))
+        lhs = approx_rl_derivative_on_grid(combo, cfg)[-1]
+        rhs = (2.0 * approx_rl_derivative_on_grid(u, cfg)[-1]
+               + 3.0 * approx_rl_derivative_on_grid(v, cfg)[-1])
         assert lhs == pytest.approx(rhs, rel=1e-11)
-
-    def test_rejects_terminal_time(self):
-        x = SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 101)
-        with pytest.raises(ValueError, match="strictly greater"):
-            approx_rl_derivative(x, ExpansionConfig(0.5, 5), 0.0)
-
-    def test_rejects_off_grid_time(self):
-        x = SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 101)
-        with pytest.raises(ValueError, match="not a node"):
-            approx_rl_derivative(x, ExpansionConfig(0.5, 5), 0.505)
 
     def test_rejects_classical_order(self):
         x = SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 101)
         with pytest.raises(ValueError, match="alpha < 1"):
-            approx_rl_derivative(x, ExpansionConfig(1.0, 5), 0.5)
+            approx_rl_derivative_on_grid(x, ExpansionConfig(1.0, 5))
 
     def test_rejects_mismatched_terminal(self):
         x = SampledFunction.from_function(lambda t: t.copy(), 0.5, 1.0, 101)
         with pytest.raises(ValueError, match="lower terminal"):
-            approx_rl_derivative(x, ExpansionConfig(0.5, 5), 0.75)
+            approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 5))
 
 
 def _trapezoid_floor(alpha, order_n, step):

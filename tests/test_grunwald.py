@@ -7,8 +7,8 @@ import pytest
 
 from fracepi.dengue import StateVector, classical_rhs
 from fracepi.expansion import ExpansionConfig, SampledFunction
-from fracepi.grunwald import (_BLOCK, _CHUNK, gl_derivative_at, gl_derivative_on_grid,
-                              gl_simulate, gl_weights, power_rule_exact)
+from fracepi.grunwald import (_BLOCK, _CHUNK, gl_derivative_on_grid, gl_simulate,
+                              gl_weights, power_rule_exact)
 from fracepi.integrate import BlowUpError, TimeGrid, simulate_fractional
 
 
@@ -95,14 +95,14 @@ class TestGlDerivativeAt:
                                          (0.9, 0), (0.9, 1), (0.9, 2)])
     def test_matches_power_rule(self, alpha, k):
         x = SampledFunction.from_function(lambda t: t ** k, 0.0, 1.0, 10001)
-        approx = gl_derivative_at(x, alpha, 10000)
+        approx = gl_derivative_on_grid(x, alpha)[-1]
         exact = power_rule_exact(alpha, k, 1.0)
         assert approx == pytest.approx(exact, rel=1e-3)
 
     def test_near_classical_order_approaches_derivative(self):
         # D^alpha t^2 at t = 1 tends to 2 t = 2 as alpha -> 1.
         x = SampledFunction.from_function(lambda t: t ** 2, 0.0, 1.0, 10001)
-        approx = gl_derivative_at(x, 0.999, 10000)
+        approx = gl_derivative_on_grid(x, 0.999)[-1]
         assert approx == pytest.approx(2.0, rel=1e-2)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -112,7 +112,7 @@ class TestGlDerivativeAt:
         errors = []
         for num in (2501, 5001, 10001):
             x = SampledFunction.from_function(lambda t: t ** k, 0.0, 1.0, num)
-            errors.append(abs(gl_derivative_at(x, alpha, num - 1) - exact))
+            errors.append(abs(gl_derivative_on_grid(x, alpha)[-1] - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert 1.8 <= coarse / fine <= 2.2
 
@@ -121,17 +121,10 @@ class TestGlDerivativeAt:
         u = SampledFunction(times=ts, values=np.cos(2.0 * ts))
         v = SampledFunction(times=ts, values=ts ** 3 + 1.0)
         combo = SampledFunction(times=ts, values=4.0 * u.values - 1.5 * v.values)
-        lhs = gl_derivative_at(combo, 0.7, 800)
-        rhs = (4.0 * gl_derivative_at(u, 0.7, 800)
-               - 1.5 * gl_derivative_at(v, 0.7, 800))
+        lhs = gl_derivative_on_grid(combo, 0.7)[-1]
+        rhs = (4.0 * gl_derivative_on_grid(u, 0.7)[-1]
+               - 1.5 * gl_derivative_on_grid(v, 0.7)[-1])
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_index_bounds(self):
-        x = SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 11)
-        with pytest.raises(ValueError, match="index"):
-            gl_derivative_at(x, 0.5, 0)
-        with pytest.raises(ValueError, match="index"):
-            gl_derivative_at(x, 0.5, 11)
 
 
 class TestGlDerivativeOnGrid:
@@ -147,11 +140,6 @@ class TestGlDerivativeOnGrid:
         np.testing.assert_allclose(got, expected, rtol=1e-11)
         # The first block has no older nodes: its entries are the direct sums.
         assert np.array_equal(got[:_BLOCK], expected[:_BLOCK])
-
-    def test_at_is_an_entry_of_the_grid(self):
-        x = SampledFunction.from_function(lambda t: t ** 2, 0.0, 1.0, 101)
-        grid = gl_derivative_on_grid(x, 0.5)
-        assert [gl_derivative_at(x, 0.5, i) for i in (1, 50, 100)] == list(grid[[0, 49, 99]])
 
 
 class TestPowerRuleExact:
@@ -196,6 +184,23 @@ class TestGlSimulate:
         series = gl_simulate(params, y0, alpha, grid)
         np.testing.assert_allclose(series.values,
                                    _direct_gl_simulate(params, y0, alpha, grid), rtol=1e-11)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.97, 1.0])
+    def test_steps_satisfy_their_difference_equation(self, scenario, alpha):
+        # The stepper and the grid derivative share one history loop: the
+        # backward difference of the stepped trajectory must give back the
+        # vector field at the previous node, past three blocks.
+        params, y0 = scenario
+        grid = TimeGrid(0.0, 16.0, 0.01)
+        series = gl_simulate(params, y0, alpha, grid)
+        assert len(series.times) - 1 > 3 * _BLOCK
+        field = np.array([classical_rhs(t, y, params)
+                          for t, y in zip(series.times[:-1], series.values[:-1])])
+        populations = [params.n_h] * 3 + [params.n_m] * 2
+        for c, population in enumerate(populations):
+            x = SampledFunction(times=series.times, values=series.values[:, c])
+            np.testing.assert_allclose(gl_derivative_on_grid(x, alpha), field[:, c],
+                                       rtol=0.0, atol=1e-11 * population)
 
     def test_single_interior_peak_confirmed_by_halving(self, scenario):
         params, y0 = scenario
