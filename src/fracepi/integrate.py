@@ -294,7 +294,10 @@ def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: 
         nodes = ts[start:start + block + 1]
         tl = nodes.tolist()
         g, rw, coefs = _arrow_steps(system, nodes)
-        coefs = coefs[..., None]
+        # Each coefficient repeated along the state axis: its products with
+        # the stages are then same-shape ufunc calls, the cheapest kind.
+        coefs = np.ascontiguousarray(np.broadcast_to(coefs[..., None],
+                                                     coefs.shape + x.shape[-1:]))
         for k in range(len(coefs)):
             t = tl[k]
             h = tl[k + 1] - t

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -130,8 +131,9 @@ class TestGlDerivativeAt:
 class TestGlDerivativeOnGrid:
     @pytest.mark.parametrize("alpha", [0.3, 0.9])
     def test_matches_direct_sums(self, alpha):
-        # More nodes than one history chunk, so several transforms add up.
-        num = 2 * _CHUNK + 7
+        # Five history chunks and a partial one: the far field of the later
+        # blocks adds up chunk spectra kept from earlier blocks.
+        num = 5 * _CHUNK + 7
         x = SampledFunction.from_function(np.exp, 0.0, 2.0, num)
         w = gl_weights(alpha, num - 1)
         direct = np.array([w[:k + 1] @ x.values[k::-1] for k in range(1, num)])
@@ -176,7 +178,10 @@ class TestGlSimulate:
             expected.append(y.copy())
         assert np.array_equal(series.values, np.array(expected))
 
-    @pytest.mark.parametrize("steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    # The last run passes eight history chunks (12 800 steps), so most of each
+    # far field comes from spectra kept since their chunks were completed.
+    @pytest.mark.parametrize("steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5,
+                                       8 * _CHUNK + _BLOCK])
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.97])
     def test_blocked_history_matches_direct_sum(self, scenario, alpha, steps):
         params, y0 = scenario
@@ -279,3 +284,53 @@ class TestGlSimulate:
         assert direct.value.step_index > 3 * _BLOCK
         assert blocked.value.step_index == direct.value.step_index
         assert blocked.value.time == direct.value.time
+
+
+class TestPinnedGlTrajectories:
+    """The GL stepper held to pinned numbers, as `TestPinnedTrajectories` holds
+    the expansion: the built-in outbreak over 200 d at 0.01 (20 001 nodes),
+    the I_h peak, its time and the last row (t and the five compartments)."""
+
+    @pytest.mark.parametrize("alpha, peak_i_h, peak_t, final", [
+        (0.95, 3359.0195430478457, 44.57, [
+            200.0, 2781.490586210314, 4.3961991436552585, 30431.212494807536,
+            167301.65862948724, 81.32052770472613,
+        ]),
+        (0.97, 5096.323294741821, 35.63, [
+            200.0, 2010.82117819256, 1.5189492865975303, 38941.11088034016,
+            167643.05009523046, 32.32339107116999,
+        ]),
+    ])
+    def test_peak_and_final_row(self, scenario, alpha, peak_i_h, peak_t, final):
+        params, y0 = scenario
+        series = gl_simulate(params, y0, alpha, TimeGrid(0.0, 200.0, 0.01))
+        k = int(np.argmax(series.column("I_h")))
+        assert series.values[k, 1] == pytest.approx(peak_i_h, rel=1e-12, abs=0.0)
+        assert series.times[k] == pytest.approx(peak_t, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose([series.times[-1], *series.values[-1]], final,
+                                   rtol=1e-12, atol=0.0)
+
+
+class TestGlMemory:
+    """What the stepper holds grows with the nodes only by the history, its
+    kept chunk spectra, the grid and the weights."""
+
+    # Measured peak of the run below: 9.2 MB, that is 115 B per node: the
+    # history (40 B), its chunk spectra (53 B), the grid and the weights (8 B
+    # each) and the derived arrays.  The bound adds about 25 %, so a cache of
+    # the weight-window spectra (about 2.6 MB here) or the grid as a list of
+    # floats (about 2.6 MB) would break it.
+    PEAK_BYTES = 11_500_000
+
+    def test_peak_of_80001_node_run(self, scenario):
+        params, y0 = scenario
+        grid = TimeGrid(0.0, 200.0, 0.0025)
+        gl_simulate(params, y0, 0.95, TimeGrid(0.0, 1.0, 0.01))  # imports, caches
+        tracemalloc.start()
+        try:
+            series = gl_simulate(params, y0, 0.95, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series.times) == 80_001
+        assert peak < self.PEAK_BYTES
