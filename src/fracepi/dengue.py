@@ -114,34 +114,32 @@ def check_population_balance(params: ModelParams, y0: StateVector) -> None:
 def classical_rhs(t: float, y, params: ModelParams):
     """Time derivative of the compartment vector (S_h, I_h, R_h, S_m, I_m).
 
-    y is one state, as a sequence of five floats or an array of shape (5,),
-    or a batch of states of shape (B, 5), one row per member.  A list or
-    tuple gives a list of five floats, an array an array of the shape of y.
+    y is one state as a list or tuple of five floats, which gives a list
+    of five floats, or an array of states of shape (..., 5), which gives
+    an array of the shape of y.
     Pure function of the state; t is accepted for integrator compatibility
     (the model is autonomous).  Whenever the compartment sums equal N_h and
     N_m, the host and mosquito totals are conserved exactly:
     dS_h + dI_h + dR_h = 0 and dS_m + dI_m = 0.
 
     Only + - * / are used, in the same order on both paths, and they round
-    the same on Python floats and on numpy arrays, so each row of a batch
-    equals the one-state call on that row bit for bit.
+    the same on Python floats and on numpy arrays, so each row of an array
+    equals the call on that row as a list bit for bit.
     """
-    array = isinstance(y, np.ndarray)
-    if array and y.ndim > 1:
+    if isinstance(y, np.ndarray):
         return _classical_rhs_rows(y, params)
-    # One state unpacks to Python floats: scalar arithmetic on them is
-    # several times cheaper than on numpy scalars, and IEEE-identical.
-    s_h, i_h, r_h, s_m, i_m = y.tolist() if array else y
+    # Scalar arithmetic on Python floats is several times cheaper than
+    # numpy's on five values, and IEEE-identical.
+    s_h, i_h, r_h, s_m, i_m = y
     foi_host = params.bite_rate * params.beta_mh * i_m / params.n_h
     foi_vector = params.bite_rate * params.beta_hm * i_h / params.n_h
-    dy = [
+    return [
         params.mu_h * params.n_h - (foi_host + params.mu_h) * s_h,
         foi_host * s_h - (params.eta_h + params.mu_h) * i_h,
         params.eta_h * i_h - params.mu_h * r_h,
         params.mu_m * params.n_m - (foi_vector + params.mu_m) * s_m,
         foi_vector * s_m - params.mu_m * i_m,
     ]
-    return np.array(dy) if array else dy
 
 
 def _classical_rhs_rows(y: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -165,9 +165,10 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
 
     The vector field is evaluated at the previous node, keeping the scheme
     free of nonlinear solves; the step must be small enough for explicit
-    stability (h <= 0.01 day at the default scenario's rates).  The grid
-    must be commensurate (uniform steps landing exactly on t_end), because
-    the weights assume a single step size.
+    stability (h <= 0.01 day at the default scenario's rates).  The nodes
+    are `grid.nodes()`, as in `integrate`; the weights assume the one step
+    h = (t_end - t_start) / n, so a grid whose last step is shortened or
+    stretched by more than 1e-9 h is rejected.
 
     The history sums come from `_gl_sums`, the loop that also serves
     `gl_derivative_on_grid`.  The state is kept in reverse time order in a
@@ -186,15 +187,15 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     time, and never clamped.
     """
     check_population_balance(params, y0)
+    ts = grid.nodes()
+    n = len(ts) - 1
     span = grid.t_end - grid.t_start
-    n = int(round(span / grid.step))
-    if abs(span - n * grid.step) > 1e-6 * grid.step:
+    h = span / n
+    if abs(ts[-1] - ts[-2] - h) > 1e-9 * h:
         raise ValueError(
             "gl_simulate needs a commensurate grid: (t_end - t_start) must be "
             f"an integer multiple of step, got span {span!r} and step {grid.step!r}"
         )
-    ts = np.linspace(grid.t_start, grid.t_end, n + 1)
-    h = span / n
     w = gl_weights(alpha, n)
     h_alpha = h ** alpha
 

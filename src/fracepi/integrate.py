@@ -8,9 +8,11 @@ integrates the augmented system produced by `expansion.expand_system`.  Its
 right-hand side carries t^(alpha-1) and t^(-alpha) factors that are
 singular at t = 0, so integration starts at a small positive offset
 (START_OFFSET) with the physical states at their t = 0 values and every
-auxiliary V_p at zero.  The first grid interval is crossed with
-geometrically growing sub-steps: near the offset the stiff x/t terms demand
-steps proportional to t, and a full-size first step would destroy the run.
+auxiliary V_p at zero, and is one kernel pass from there through the last
+node.  It crosses the first grid interval with geometrically growing
+sub-steps, whose states are not stored: near the offset the stiff x/t terms
+demand steps proportional to t, and a full-size first step would destroy
+the run.
 
 The body works on any batch shape: a single run is the batch of shape (),
 and `simulate_batch` steps B orders of one N together, storing only the
@@ -30,8 +32,7 @@ operations in the same order on (B, 5) arrays, so each member equals its
 single run bit for bit, and a member that blows up is marked failed while
 the others run on.  The classical field (`simulate_classical` and the
 alpha = 1 bypass) is stepped on Python floats too, by plain RK4 stages
-without moment terms.  Fractional runs differ by about 1e-14 relative from the
-version that scaled the bracket of the expansion after summing it.
+without moment terms.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ class TimeSeries:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4(f: Callable[[float, list], Sequence[float]], ts: np.ndarray, x: list,
-         out: np.ndarray, fail_t: np.ndarray) -> list:
-    """Classical fourth-order Runge-Kutta on Python floats; returns the last state.
+         out: np.ndarray, fail_t: np.ndarray) -> None:
+    """Classical fourth-order Runge-Kutta on Python floats.
 
     x is the state at ts[0] as a list of floats, and f(t, x) returns the
     derivative as a sequence of floats.  out[i] = x stores the state at
@@ -192,9 +193,8 @@ def _rk4(f: Callable[[float, list], Sequence[float]], ts: np.ndarray, x: list,
         x = [xc + h6 * (a + 2.0 * b + 2.0 * c + d) for xc, a, b, c, d in zip(x, k1, k2, k3, k4)]
         if not all(map(isfinite, x)):
             fail_t[()] = tl[i + 1]
-            return x
+            return
         out[i + 1] = x
-    return x
 
 
 def _arrow_steps(system: AugmentedSystem,
@@ -229,8 +229,8 @@ def _block_steps(system: AugmentedSystem) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: list, w: np.ndarray, out,
-               fail_t: np.ndarray) -> tuple[list, np.ndarray]:
-    """RK4 on the augmented system of one config; returns the last (x, w).
+               fail_t: np.ndarray) -> None:
+    """RK4 on the augmented system of one config.
 
     x holds the d physical states as Python floats and w, of shape
     (N-1, d), their moments V_2 ... V_N, one row per p; w is updated in
@@ -269,15 +269,14 @@ def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: list, w: np.ndarray, 
                  for xc, a, b, c, d in zip(x, k1, k2, k3, k4)]
             if not (all(map(isfinite, x)) and np.isfinite(w).all()):
                 fail_t[()] = tl[k + 1]
-                return x, w
+                return
             out[start + k + 1] = (x, w)
-    return x, w
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: np.ndarray,
-                     out, fail_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_rk4_arrow` for a batch of B configs of one order; returns the last (x, w).
+                     out, fail_t: np.ndarray) -> None:
+    """`_rk4_arrow` for a batch of B configs of one order.
 
     x has shape (B, d) and w (B, N-1, d), and every operation is
     `_rk4_arrow`'s on one row per member, so each member equals its
@@ -320,9 +319,8 @@ def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: 
                 bad = ~(np.isfinite(x).all(axis=-1) & np.isfinite(w).all(axis=(-2, -1)))
                 fail_t[bad & np.isnan(fail_t)] = tl[k + 1]
                 if bad.all():
-                    return x, w
+                    return
             out[start + k + 1] = (x, w)
-    return x, w
 
 
 class _Columns:
@@ -330,17 +328,22 @@ class _Columns:
 
     values has shape (nodes,) + batch + (width,), its columns the five
     physical states and, if width > 5, the moments state-major
-    (`aux_column_names`); self[i] = (x, w) writes row i, x of shape
-    batch + (5,) (or a list) and w of shape batch + (N-1, 5).
+    (`aux_column_names`); self[i] = (x, w) writes row i - ramp, x of shape
+    batch + (5,) (or a list) and w of shape batch + (N-1, 5), and drops
+    the states i <= ramp of the start-up sub-steps before node 1.
     """
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, ramp: int):
+        self.ramp = ramp
         self.physical = values[..., :5]
         # Splitting the last axis of a column slice is a view, so writes land in values.
         self.moments = (values[..., 5:].reshape(values.shape[:-1] + (5, -1))
                         if values.shape[-1] > 5 else None)
 
     def __setitem__(self, i: int, state: tuple) -> None:
+        i -= self.ramp
+        if i <= 0:
+            return
         x, w = state
         self.physical[i] = x
         if self.moments is not None:
@@ -493,16 +496,11 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     ramp = [start_offset]  # geometric sub-steps up to the first node
     while ramp[-1] * RAMP_FACTOR < nodes[1]:
         ramp.append(ramp[-1] * RAMP_FACTOR)
-    ramp_ts = np.array(ramp + [nodes[1]])
     if shape:
         step, x = _rk4_arrow_batch, np.broadcast_to(y0.as_array(), shape + (5,)).copy()
     else:
         step, x = _rk4_arrow, y0.as_array().tolist()
     w = np.zeros(shape + (system.order_n - 1, 5))
-    state = step(system, ramp_ts, x, w, _Columns(np.empty((len(ramp_ts),) + values.shape[1:])),
-                 fail_t)
-    out = _Columns(values[1:])
-    out[0] = state
-    if np.isnan(fail_t).any():
-        step(system, nodes[1:], *state, out, fail_t)
+    step(system, np.concatenate([ramp, nodes[1:]]), x, w, _Columns(values, len(ramp) - 1),
+         fail_t)
     return nodes, values, fail_t

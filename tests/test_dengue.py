@@ -119,6 +119,7 @@ class TestClassicalRhs:
         assert dy.shape == (7, 5)
         for row, out in zip(batch, dy):
             assert np.array_equal(out, classical_rhs(0.0, row, params))
+            assert np.array_equal(out, classical_rhs(0.0, row.tolist(), params))
 
 
 class TestPopulationDrift:

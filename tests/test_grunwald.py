@@ -236,10 +236,22 @@ class TestGlSimulate:
         assert gl_peak_times[0] < gl_peak_times[1] < gl_peak_times[2]
         assert exp_peak_times[0] < exp_peak_times[1] < exp_peak_times[2]
 
-    def test_rejects_non_commensurate_grid(self, scenario):
+    def test_nodes_are_the_grid_nodes(self, scenario):
+        # The oracle steps the nodes the expansion reports, bit for bit.
         params, y0 = scenario
-        with pytest.raises(ValueError, match="commensurate"):
-            gl_simulate(params, y0, 0.9, TimeGrid(0.0, 1.0, 0.3))
+        grid = TimeGrid(1.5, 7.3, 0.1)
+        assert np.array_equal(gl_simulate(params, y0, 0.9, grid).times, grid.nodes())
+        grid = TimeGrid(0.0, 0.3, 0.1)
+        expansion = simulate_fractional(params, y0, ExpansionConfig(0.9, 7), grid)
+        assert np.array_equal(gl_simulate(params, y0, 0.9, grid).times, expansion.times)
+
+    def test_rejects_non_commensurate_grid(self, scenario):
+        # The second grid's last node is a 5e-9 d step past 10 d, which
+        # `TimeGrid.nodes()` keeps as a node of its own.
+        params, y0 = scenario
+        for grid in (TimeGrid(0.0, 1.0, 0.3), TimeGrid(0.0, 10.0 + 5e-9, 0.01)):
+            with pytest.raises(ValueError, match="commensurate"):
+                gl_simulate(params, y0, 0.9, grid)
 
     def test_rejects_bad_alpha(self, scenario):
         params, y0 = scenario

@@ -123,7 +123,7 @@ class TestArrowKernel:
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values = np.empty((len(ts), len(y)))
         fail_t = np.full((), np.nan)
-        _rk4_arrow(system, ts, x.tolist(), np.ascontiguousarray(v.T), _Columns(values), fail_t)
+        _rk4_arrow(system, ts, x.tolist(), np.ascontiguousarray(v.T), _Columns(values, 0), fail_t)
         assert np.isnan(fail_t)
         np.testing.assert_allclose(values[-1], y, rtol=1e-12, atol=0.0)
 
@@ -404,8 +404,9 @@ class TestOperatorBlocks:
     """The kernel precomputes the operators of blocks of RK4 steps; the block
     length changes no bit and the blocks' memory stays capped."""
 
-    # 107 ramp sub-steps from 1e-6 to the first node at 0.01, then 300 steps:
-    # blocks of 37 steps end inside both.
+    # 107 ramp sub-steps from 1e-6 to the first node at 0.01, then 300 steps,
+    # in one pass: blocks of 37 steps end inside both, and blocks of 106, 107
+    # and 108 steps end just before, at and just after the first node.
     GRID = TimeGrid(0.0, 3.0, 0.01)
     # A 512-step block of dense N x N operators would hold 10 MB per stage
     # time at N = 50 and 20 MB for 100 members at N = 7, and one step's
@@ -420,7 +421,7 @@ class TestOperatorBlocks:
         """
         monkeypatch.setattr(integrate, "BLOCK_ENTRIES", steps * 3 * members * 2 * order_n)
 
-    @pytest.mark.parametrize("steps", [1, 37])
+    @pytest.mark.parametrize("steps", [1, 37, 106, 107, 108])
     def test_solo_run_with_moments(self, scenario, monkeypatch, steps):
         params, y0 = scenario
 
@@ -432,7 +433,7 @@ class TestOperatorBlocks:
         self._with_block(monkeypatch, steps, 1)
         assert np.array_equal(run(), default)
 
-    @pytest.mark.parametrize("steps", [1, 37])
+    @pytest.mark.parametrize("steps", [1, 37, 106, 107, 108])
     def test_batch(self, scenario, monkeypatch, steps):
         params, y0 = scenario
         cfgs = [ExpansionConfig(a, 7) for a in (0.9, 0.95, 0.99)]
