@@ -22,9 +22,8 @@ Main entry points:
 from .dengue import (ModelParams, StateVector, classical_rhs, default_scenario,
                      population_drift)
 from .expansion import (DegenerateCoefficientError, ExpansionCoefficients,
-                        ExpansionConfig, PoleError, SampledFunction,
-                        approx_rl_derivative_on_grid, coeff_a, coeff_a_prime,
-                        coeff_c, expand_system, gamma)
+                        ExpansionConfig, PoleError, approx_rl_derivative_on_grid,
+                        coeff_a, coeff_a_prime, coeff_c, expand_system, gamma)
 from .fitting import (CurvePoint, FitFailedError, FitResult, ObservedSeries,
                       fit_alpha, generate_synthetic, percentage_error)
 from .grunwald import gl_derivative_on_grid, gl_simulate, gl_weights, power_rule_exact
@@ -45,7 +44,6 @@ __all__ = [
     "ModelParams",
     "ObservedSeries",
     "PoleError",
-    "SampledFunction",
     "StateVector",
     "TimeGrid",
     "TimeSeries",

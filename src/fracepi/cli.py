@@ -40,13 +40,12 @@ import numpy as np
 
 from .dengue import (ModelParams, StateVector, check_population_balance, classical_rhs,
                      default_scenario)
-from .expansion import (ExpansionConfig, ExpansionCoefficients, SampledFunction,
-                        approx_rl_derivative_on_grid, coeff_a, coeff_a_prime, coeff_c,
-                        expand_system)
+from .expansion import (ExpansionConfig, ExpansionCoefficients, approx_rl_derivative_on_grid,
+                        coeff_a, coeff_a_prime, coeff_c, expand_system)
 from .fitting import FitFailedError, FitResult, ObservedSeries, fit_alpha
 from .grunwald import gl_derivative_on_grid, gl_simulate, power_rule_exact
-from .integrate import (START_OFFSET, BlowUpError, TimeGrid, TimeSeries, simulate_batch,
-                        simulate_classical, simulate_fractional)
+from .integrate import (MAX_NODES, START_OFFSET, BlowUpError, TimeGrid, TimeSeries,
+                        simulate_batch, simulate_classical, simulate_fractional)
 
 __all__ = [
     "ConfigError",
@@ -247,21 +246,18 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     return 0
 
 
-_DERIV_FUNCTIONS = {
-    "const": (lambda ts: np.ones_like(ts), 0),
-    "t": (lambda ts: ts.copy(), 1),
-    "t2": (lambda ts: ts ** 2, 2),
-}
+# The test functions t^k by name, as their powers k.
+_DERIV_FUNCTIONS = {"const": 0, "t": 1, "t2": 2}
 
 
 def _cmd_deriv(args: argparse.Namespace) -> int:
     cfg = ExpansionConfig(alpha=args.alpha, order_n=args.order)
-    nodes = TimeGrid(t_start=0.0, t_end=args.t_end, step=args.step).nodes()
-    fn, k = _DERIV_FUNCTIONS[args.function]
-    x = SampledFunction(times=nodes, values=fn(nodes))  # rejects a partial last step
-    ts = x.times[1:]
-    expansion_vals = approx_rl_derivative_on_grid(x, cfg)
-    gl_vals = gl_derivative_on_grid(x, cfg.alpha)
+    grid = TimeGrid(t_start=0.0, t_end=args.t_end, step=args.step)
+    nodes, _ = grid.uniform_nodes()  # rejects a partial last step
+    k = _DERIV_FUNCTIONS[args.function]
+    expansion_vals = approx_rl_derivative_on_grid(grid, nodes ** k, cfg)
+    gl_vals = gl_derivative_on_grid(grid, nodes ** k, cfg.alpha)
+    ts = nodes[1:]
     closed = [power_rule_exact(cfg.alpha, k, t) for t in ts]
 
     with (open(args.out, "w", newline="", encoding="utf-8") if args.out
@@ -299,7 +295,10 @@ def _alpha_grid(alpha_min: float, alpha_max: float, alpha_step: float) -> list[f
         raise ValueError(f"alpha-step must be positive, got {alpha_step!r}")
     if alpha_max < alpha_min:
         raise ValueError("alpha-max must not be below alpha-min")
-    count = int(math.floor((alpha_max - alpha_min) / alpha_step + 1e-9)) + 1
+    steps = (alpha_max - alpha_min) / alpha_step
+    if not steps <= MAX_NODES - 1:  # also nan and inf
+        raise ValueError(f"alpha grid of {steps:.3g} steps exceeds {MAX_NODES} candidates")
+    count = int(math.floor(steps + 1e-9)) + 1
     alphas = []
     for i in range(count):
         a = round(alpha_min + i * alpha_step, 12)
@@ -339,20 +338,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
            f"A={a_val:.6f} A'={ap_val:.6f} C_2={c_val:.6f}")
 
     worst = 0.0
-    num = 10001
+    grid = TimeGrid(t_start=0.0, t_end=1.0, step=1e-4)
+    ts = grid.nodes()
     for alpha in (0.3, 0.5, 0.9):
         for k in (0, 1, 2):
-            x = SampledFunction.from_function(lambda ts: ts ** k, 0.0, 1.0, num)
-            approx = gl_derivative_on_grid(x, alpha)[-1]
+            approx = gl_derivative_on_grid(grid, ts ** k, alpha)[-1]
             exact = power_rule_exact(alpha, k, 1.0)
             worst = max(worst, abs(approx - exact) / abs(exact))
     record("backward difference vs closed form", worst < 1e-3,
            f"worst rel err {worst:.2e} (h = 1e-4)")
 
-    x = SampledFunction.from_function(lambda ts: ts ** 2, 0.0, 1.0, 1001)
+    grid = TimeGrid(t_start=0.0, t_end=1.0, step=1e-3)
+    t2 = grid.nodes() ** 2
     exact = power_rule_exact(0.5, 2, 1.0)
-    err5 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 5))[-1] - exact)
-    err20 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 20))[-1] - exact)
+    err5 = abs(approx_rl_derivative_on_grid(grid, t2, ExpansionConfig(0.5, 5))[-1] - exact)
+    err20 = abs(approx_rl_derivative_on_grid(grid, t2, ExpansionConfig(0.5, 20))[-1] - exact)
     record("expansion error shrinks with order", err20 <= err5,
            f"err N=5 {err5:.2e}, N=20 {err20:.2e}")
 
@@ -393,8 +393,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     # 3200 steps: more than three history blocks, so the FFT far field runs.
     gl_grid = TimeGrid(t_start=0.0, t_end=160.0, step=0.05)
     gl_series = gl_simulate(params, initial, 1.0, gl_grid)
-    ts = gl_series.times
-    h = (gl_grid.t_end - gl_grid.t_start) / (len(ts) - 1)
+    ts, h = gl_grid.uniform_nodes()
     euler = np.empty((len(ts), 5))
     euler[0] = initial.as_array()
     y = initial.as_array().copy()

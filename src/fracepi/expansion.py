@@ -44,9 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .integrate import TimeGrid
 
 __all__ = [
     "PoleError",
@@ -54,7 +57,6 @@ __all__ = [
     "gamma",
     "ExpansionConfig",
     "ExpansionCoefficients",
-    "SampledFunction",
     "coeff_a",
     "coeff_a_prime",
     "coeff_c",
@@ -194,73 +196,51 @@ class ExpansionCoefficients:
         return cls(a_coef=a_coef, a_prime_coef=a_prime_coef, c_coefs=c_coefs)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """A scalar function sampled on a uniform, strictly increasing grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or values.ndim != 1:
-            raise ValueError("times and values must be one-dimensional")
-        if len(times) != len(values):
-            raise ValueError(f"length mismatch: {len(times)} times, {len(values)} values")
-        if len(times) < 3:
-            raise ValueError("need at least 3 samples")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("samples must be finite")
-        steps = np.diff(times)
-        if np.any(steps <= 0):
-            raise ValueError("times must be strictly increasing")
-        h = steps[0]
-        worst = np.argmax(np.abs(steps - h))
-        if abs(steps[worst] - h) > 1e-9 * h:
-            raise ValueError(f"times must be uniformly spaced, got steps of {h:g} "
-                             f"and {steps[worst]:g}")
-
-    @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], start: float,
-                      stop: float, num: int) -> "SampledFunction":
-        """Sample a vectorized callable on num equispaced points of [start, stop]."""
-        ts = np.linspace(start, stop, num)
-        return cls(times=ts, values=np.asarray(fn(ts), dtype=float))
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
+def _check_lower_terminal(grid: TimeGrid) -> None:
+    if grid.t_start != 0.0:
+        raise ValueError(
+            f"the grid must start at the lower terminal t = 0, got t_start = {grid.t_start!r}"
+        )
 
 
-def approx_rl_derivative_on_grid(x: SampledFunction, cfg: ExpansionConfig) -> np.ndarray:
-    """Evaluate the expansion of the fractional derivative of x at every node but t = 0.
+def _grid_samples(grid: TimeGrid, values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """The nodes and step h of `grid.uniform_nodes()`, and values as one finite float per node."""
+    ts, h = grid.uniform_nodes()
+    values = np.asarray(values, dtype=float)
+    if values.shape != ts.shape:
+        raise ValueError(f"need one sample per node: {len(ts)} nodes, "
+                         f"got values of shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples must be finite")
+    return ts, h, values
 
-    The grid of x must start at the lower terminal t = 0, where the leading
-    t^(-alpha) factor is singular, so entry i - 1 of the result belongs to
-    x.times[i].  x'(t) is the second-order finite difference of
-    `np.gradient` (one-sided at the ends); each V_p(t) is the cumulative
-    trapezoidal quadrature of (1-p) tau^(p-2) x(tau) over [0, t].  A value
-    that is not finite (high orders on fine grids) raises FloatingPointError.
+
+def approx_rl_derivative_on_grid(grid: TimeGrid, values: np.ndarray,
+                                 cfg: ExpansionConfig) -> np.ndarray:
+    """Evaluate the expansion of the fractional derivative at every node of grid but t = 0.
+
+    values holds one finite sample of x per node of `grid.nodes()`, and the
+    grid must be commensurate (`TimeGrid.uniform_nodes`, whose step h the
+    differences and quadratures use).  It must start at the lower terminal
+    t = 0, where the leading t^(-alpha) factor is singular, so entry i - 1
+    of the result belongs to node i.  x'(t) is the second-order finite
+    difference of `np.gradient` (one-sided at the ends); each V_p(t) is the
+    cumulative trapezoidal quadrature of (1-p) tau^(p-2) x(tau) over
+    [0, t].  A value that is not finite (high orders on fine grids) raises
+    FloatingPointError.
     """
     if cfg.alpha >= 1.0:
         raise ValueError("the pointwise expansion requires alpha < 1")
-    if abs(x.times[0]) > 1e-9:
-        raise ValueError(
-            f"sample grid must start at the lower terminal t = 0, got times[0] = {x.times[0]!r}"
-        )
+    _check_lower_terminal(grid)
+    ts, h, values = _grid_samples(grid, values)
     coefs = ExpansionCoefficients.from_config(cfg)
-    ts = x.times
-    h = x.step
-    derivative = np.gradient(x.values, h, edge_order=2)
-    result = (coefs.a_coef * ts[1:] ** (-cfg.alpha) * x.values[1:]
+    derivative = np.gradient(values, h, edge_order=2)
+    result = (coefs.a_coef * ts[1:] ** (-cfg.alpha) * values[1:]
               + coefs.a_prime_coef * ts[1:] ** (1.0 - cfg.alpha) * derivative[1:])
     power = np.ones_like(ts)          # tau^(p-2), built incrementally
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(2, cfg.order_n + 1):
-            integrand = (1.0 - p) * power * x.values
+            integrand = (1.0 - p) * power * values
             v_p = h * (np.cumsum(integrand) - 0.5 * (integrand[0] + integrand))
             result -= coefs.c_coefs[p - 2] * ts[1:] ** (1.0 - p - cfg.alpha) * v_p[1:]
             power = power * ts

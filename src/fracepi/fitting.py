@@ -118,7 +118,8 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
     simulation blows up receive error +inf and a "failed" status but stay
     in the curve for diagnosis.
 
-    Raises FitFailedError if no candidate survives.
+    Raises ValueError, before any run, if an observation time lies outside
+    the grid, and FitFailedError if no candidate survives.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
@@ -129,6 +130,11 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
         raise ValueError("alpha_grid must be sorted in strictly ascending order")
     if n_order < 2:
         raise ValueError(f"n_order must be >= 2, got {n_order}")
+    # Observations off the grid are refused before any run, by the rule of
+    # the runs' own series: the nodes as a series of no columns.
+    nodes = grid.nodes()
+    for t in (obs.times[0], obs.times[-1]):
+        TimeSeries(times=nodes, values=np.empty((len(nodes), 0)), columns=()).nearest_index(t)
 
     # The alpha < 1 candidates run as one batch; alpha = 1 (at most one, the
     # last) takes the classical bypass.

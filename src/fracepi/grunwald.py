@@ -40,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .dengue import ModelParams, StateVector, check_population_balance, classical_rhs
-from .expansion import SampledFunction, gamma
+from .expansion import _grid_samples, gamma
 from .integrate import BlowUpError, DENGUE_COLUMNS, TimeGrid, TimeSeries, _warn_undershoot
 
 __all__ = [
@@ -130,18 +130,21 @@ def _gl_sums(w: np.ndarray, y_rev: np.ndarray) -> Iterator[np.ndarray]:
             yield far[k - s - 1] + w[:k - s + 1] @ y_rev[n - k:n - s + 1]
 
 
-def gl_derivative_on_grid(x: SampledFunction, alpha: float) -> np.ndarray:
-    """Backward-difference values of the fractional derivative at every node but t_0.
+def gl_derivative_on_grid(grid: TimeGrid, values: np.ndarray, alpha: float) -> np.ndarray:
+    """Backward-difference values of the fractional derivative at every node of grid but t_0.
 
-    Entry k - 1 is h^(-alpha) sum_{j=0}^{k} w_j x(t_{k-j}) and belongs to
-    x.times[k].  The sums come from `_gl_sums`, so the first `_BLOCK`
-    entries carry the bits of a direct sum, and later ones equal it to
-    about 1e-12 relative.  Converges with first order in the grid step for
-    the smooth functions used here.
+    values holds one finite sample of x per node of `grid.nodes()`, and the
+    grid must be commensurate (`TimeGrid.uniform_nodes`, whose step h
+    scales the sums).  Entry k - 1 is h^(-alpha) sum_{j=0}^{k} w_j x(t_{k-j})
+    and belongs to node k.  The sums come from `_gl_sums`, so the first
+    `_BLOCK` entries carry the bits of a direct sum, and later ones equal it
+    to about 1e-12 relative.  Converges with first order in the grid step
+    for the smooth functions used here.
     """
-    n = len(x.times) - 1
-    sums = np.fromiter(_gl_sums(gl_weights(alpha, n), x.values[::-1]), float, n)
-    return x.step ** (-alpha) * sums
+    _, h, values = _grid_samples(grid, values)
+    n = len(values) - 1
+    sums = np.fromiter(_gl_sums(gl_weights(alpha, n), values[::-1]), float, n)
+    return h ** (-alpha) * sums
 
 
 def power_rule_exact(alpha: float, k: int, t: float) -> float:
@@ -166,9 +169,9 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     The vector field is evaluated at the previous node, keeping the scheme
     free of nonlinear solves; the step must be small enough for explicit
     stability (h <= 0.01 day at the default scenario's rates).  The nodes
-    are `grid.nodes()`, as in `integrate`; the weights assume the one step
-    h = (t_end - t_start) / n, so a grid whose last step is shortened or
-    stretched by more than 1e-9 h is rejected.
+    and the one step h = (t_end - t_start) / n the weights assume are
+    `grid.uniform_nodes()`: the nodes of `integrate`, on a grid that must
+    be commensurate.
 
     The history sums come from `_gl_sums`, the loop that also serves
     `gl_derivative_on_grid`.  The state is kept in reverse time order in a
@@ -187,15 +190,8 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     time, and never clamped.
     """
     check_population_balance(params, y0)
-    ts = grid.nodes()
+    ts, h = grid.uniform_nodes()
     n = len(ts) - 1
-    span = grid.t_end - grid.t_start
-    h = span / n
-    if abs(ts[-1] - ts[-2] - h) > 1e-9 * h:
-        raise ValueError(
-            "gl_simulate needs a commensurate grid: (t_end - t_start) must be "
-            f"an integer multiple of step, got span {span!r} and step {grid.step!r}"
-        )
     w = gl_weights(alpha, n)
     h_alpha = h ** alpha
 

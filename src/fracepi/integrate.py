@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dengue import ModelParams, StateVector, check_population_balance, classical_rhs
-from .expansion import AugmentedSystem, ExpansionConfig, expand_system
+from .expansion import AugmentedSystem, ExpansionConfig, _check_lower_terminal, expand_system
 
 __all__ = [
     "BlowUpError",
@@ -79,6 +79,10 @@ BLOCK_ENTRIES = 4096
 
 # A TimeGrid of more nodes is rejected before any array is allocated.
 MAX_NODES = 10 ** 6
+
+# A result (nodes x members x columns) of more float64 entries (800 MB) is
+# rejected before any array is allocated.
+MAX_ENTRIES = 10 ** 8
 
 
 class BlowUpError(RuntimeError):
@@ -130,6 +134,23 @@ class TimeGrid:
             ts[-1] = self.t_end
         return ts
 
+    def uniform_nodes(self) -> tuple[np.ndarray, float]:
+        """`nodes()` and the one step h = (t_end - t_start) / n between them.
+
+        Raises ValueError when the last step differs from h by more than
+        1e-9 h: (t_end - t_start) is then not a whole number of steps, and
+        no single h describes the nodes.
+        """
+        ts = self.nodes()
+        h = (self.t_end - self.t_start) / (len(ts) - 1)
+        last = ts[-1] - ts[-2]
+        if abs(last - h) > 1e-9 * h:
+            raise ValueError(
+                "the grid is not commensurate: (t_end - t_start) must be an integer "
+                f"multiple of step, got steps of {self.step:g} and {last:g}"
+            )
+        return ts, h
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -158,7 +179,8 @@ class TimeSeries:
         tol = 1e-9 * max(1.0, abs(times[-1]))
         if t < times[0] - tol or t > times[-1] + tol:
             raise ValueError(
-                f"t = {t!r} is outside the simulated span [{times[0]!r}, {times[-1]!r}]"
+                f"t = {float(t)!r} is outside the simulated span "
+                f"[{float(times[0])!r}, {float(times[-1])!r}]"
             )
         i = int(np.searchsorted(times, t))
         if i == 0:
@@ -386,13 +408,6 @@ def aux_column_names(order_n: int) -> tuple[str, ...]:
     return tuple(f"V{p}_{name}" for name in DENGUE_COLUMNS for p in range(2, order_n + 1))
 
 
-def _check_lower_terminal(grid: TimeGrid) -> None:
-    if grid.t_start != 0.0:
-        raise ValueError(
-            f"fractional runs start at the lower terminal t = 0, got t_start = {grid.t_start!r}"
-        )
-
-
 def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConfig,
                         grid: TimeGrid, *, start_offset: float = START_OFFSET,
                         keep_aux: bool = False) -> TimeSeries:
@@ -469,7 +484,8 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     configs (batch shape (B,)).  Returns the nodes, the first `width`
     columns of every state, of shape (nodes,) + batch + (width,) (columns
     the state does not have stay zero), and the time each member failed to
-    reach, NaN for a member that reached the last node.
+    reach, NaN for a member that reached the last node.  A result of more
+    than MAX_ENTRIES entries is refused before anything is built.
     """
     check_population_balance(params, y0)
 
@@ -477,6 +493,10 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
         return classical_rhs(t, y, params)
 
     nodes = grid.nodes()
+    members = 1 if cfg is None or isinstance(cfg, ExpansionConfig) else len(cfg)
+    if len(nodes) * members * width > MAX_ENTRIES:
+        raise ValueError(f"a result of {len(nodes)} nodes x {members} runs x {width} columns "
+                         f"exceeds {MAX_ENTRIES:.0e} entries")
     system = None if cfg is None else expand_system(f, cfg)
     shape = () if system is None else system.factors.shape[:-1]
     values = np.zeros((len(nodes),) + shape + (width,))
@@ -491,7 +511,7 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     if start_offset >= nodes[1]:
         raise ValueError(
             f"start_offset = {start_offset!r} does not leave room before the "
-            f"first grid node at t = {nodes[1]!r}"
+            f"first grid node at t = {float(nodes[1])!r}"
         )
     ramp = [start_offset]  # geometric sub-steps up to the first node
     while ramp[-1] * RAMP_FACTOR < nodes[1]:

@@ -18,8 +18,7 @@ import pytest
 from fracepi.cli import (load_scenario_config, main, read_trajectory_csv,
                          write_observed_csv)
 from fracepi.dengue import classical_rhs, default_scenario, population_drift
-from fracepi.expansion import (ExpansionConfig, SampledFunction,
-                               approx_rl_derivative_on_grid, coeff_a,
+from fracepi.expansion import (ExpansionConfig, approx_rl_derivative_on_grid, coeff_a,
                                coeff_a_prime, coeff_c, gamma)
 from fracepi.fitting import ObservedSeries, fit_alpha, generate_synthetic
 from fracepi.grunwald import gl_derivative_on_grid, gl_simulate, power_rule_exact
@@ -106,9 +105,10 @@ def test_criterion_3_oracle_vs_closed_form():
             for k in (0, 1, 2):
                 exact = power_rule_exact(alpha, k, 1.0)
                 errors = []
-                for num in (5001, 10001):  # h = 2e-4, 1e-4
-                    x = SampledFunction.from_function(lambda t: t ** k, 0.0, 1.0, num)
-                    errors.append(abs(gl_derivative_on_grid(x, alpha)[-1] - exact))
+                for h in (2e-4, 1e-4):
+                    grid = TimeGrid(0.0, 1.0, h)
+                    errors.append(abs(gl_derivative_on_grid(grid, grid.nodes() ** k,
+                                                            alpha)[-1] - exact))
                 assert errors[1] / abs(exact) < 1e-3
                 order = math.log2(errors[0] / errors[1])
                 assert 0.8 <= order <= 1.2
@@ -118,17 +118,14 @@ def test_criterion_3_oracle_vs_closed_form():
 
 def test_criterion_4_expansion_accuracy_trend():
     with _criterion(4, "expansion error not worse at N=20 than N=5; baselines pinned"):
-        samples = {
-            "const": (SampledFunction.from_function(lambda t: np.ones_like(t),
-                                                    0.0, 1.0, 1001), 0),
-            "t": (SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 1001), 1),
-            "t2": (SampledFunction.from_function(lambda t: t ** 2, 0.0, 1.0, 1001), 2),
-        }
+        grid = TimeGrid(0.0, 1.0, 1e-3)
+        ts, h = grid.uniform_nodes()
         errors = {}
-        for name, (x, k) in samples.items():
+        for name, k in (("const", 0), ("t", 1), ("t2", 2)):
             exact = power_rule_exact(0.5, k, 1.0)
             errors[name] = {
-                n: abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, n))[-1] - exact)
+                n: abs(approx_rl_derivative_on_grid(grid, ts ** k,
+                                                    ExpansionConfig(0.5, n))[-1] - exact)
                 for n in (5, 20)
             }
 
@@ -137,7 +134,6 @@ def test_criterion_4_expansion_accuracy_trend():
         # The expansion is exact for affine inputs at every order, so both
         # linear-input errors sit on the trapezoid floor of the V_p moments,
         # which grows with N; the comparison allows exactly that floor.
-        h = samples["t"][0].step
         floor = 2.0 * h * h / 12.0 * sum(abs(coeff_c(0.5, p)) * (p - 1) ** 2
                                          for p in range(2, 21))
         assert errors["t"][20] <= errors["t"][5] + floor

@@ -228,6 +228,27 @@ class TestCommands:
         assert err.startswith("error: validation:")
         assert len(err.splitlines()) == 1
 
+    def test_simulate_huge_result_exits_1(self, tmp_path, capsys):
+        # 999 901 nodes x 5 000 columns: 37 GB, refused before any of it is allocated.
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("t_end = 9999\n")
+        assert main(["simulate", "--config", str(cfg), "--alpha", "0.95", "--order", "1000",
+                     "--include-aux", "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_start_offset_past_first_node_names_plain_floats(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("alpha = 0.9\nepsilon = 0.5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+        assert "first grid node at t = 0.01" in err
+        assert "np.float64" not in err
+
     def test_simulate_high_order_blow_up_exits_2(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--alpha", "0.95", "--order", "200",
@@ -268,6 +289,39 @@ class TestCommands:
                          "--alpha-min", "0.94", "--alpha-max", "0.96",
                          "--alpha-step", "0.01", "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_fit_huge_result_exits_1(self, tmp_path, capsys, obs_csv):
+        # 50 001 candidates on the default 100 d grid: 10 001 x 50 000 x 5 entries.
+        assert main(["fit", "--data", str(obs_csv), "--alpha-min", "0.5",
+                     "--alpha-step", "0.00001", "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("step", ["1e-7", "1e-12", "1e-300"])
+    def test_fit_too_many_candidates_exits_1(self, tmp_path, capsys, obs_csv, step):
+        # More than MAX_NODES orders, refused before the candidate list is built.
+        assert main(["fit", "--data", str(obs_csv), "--alpha-min", "0.5",
+                     "--alpha-step", step, "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+        assert "candidates" in err
+
+    def test_fit_off_grid_observation_exits_1_before_stepping(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate_batch called")
+
+        monkeypatch.setattr("fracepi.fitting.simulate_batch", refuse)
+        data = tmp_path / "obs.csv"
+        data.write_text("t,I_h_obs\n10,50\n150,60\n")
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+        assert "t = 150.0 is outside the simulated span [0.0, 100.0]" in err
+        assert "np.float64" not in err
 
     def test_deriv_tracks_closed_form(self, tmp_path):
         out = tmp_path / "deriv.csv"

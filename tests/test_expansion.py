@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fracepi.expansion import (MAX_ORDER, DegenerateCoefficientError, ExpansionCoefficients,
-                               ExpansionConfig, PoleError, SampledFunction,
-                               approx_rl_derivative_on_grid, coeff_a, coeff_a_prime,
-                               coeff_c, expand_system, gamma)
-from fracepi.grunwald import power_rule_exact
+                               ExpansionConfig, PoleError, approx_rl_derivative_on_grid,
+                               coeff_a, coeff_a_prime, coeff_c, expand_system, gamma)
+from fracepi.grunwald import gl_derivative_on_grid, power_rule_exact
+from fracepi.integrate import TimeGrid
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -160,30 +160,52 @@ class TestExpansionConfig:
         assert cfg.alpha == 1.0
 
 
-class TestSampledFunction:
-    def test_from_function(self):
-        x = SampledFunction.from_function(lambda t: t ** 2, 0.0, 2.0, 21)
-        assert x.step == pytest.approx(0.1)
-        assert x.values[-1] == pytest.approx(4.0)
+# Both derivative evaluators, called alike on (grid, values).
+EVALUATORS = {
+    "expansion": lambda grid, values: approx_rl_derivative_on_grid(grid, values,
+                                                                   ExpansionConfig(0.5, 5)),
+    "grunwald": lambda grid, values: gl_derivative_on_grid(grid, values, 0.5),
+}
 
-    def test_rejects_non_uniform(self):
-        with pytest.raises(ValueError, match="uniform"):
-            SampledFunction(times=[0.0, 0.1, 0.3], values=[1.0, 1.0, 1.0])
+
+class TestGridSamples:
+    def test_rejects_non_commensurate_grid(self):
+        # Nodes 0, 0.3, 0.6, 0.9, 1: no one step h describes them.
+        grid = TimeGrid(0.0, 1.0, 0.3)
+        for name, evaluate in EVALUATORS.items():
+            with pytest.raises(ValueError, match="commensurate") as info:
+                evaluate(grid, np.ones(5))
+            assert "steps of 0.3 and 0.1" in str(info.value), name
 
     def test_rejects_short(self):
-        with pytest.raises(ValueError, match="3 samples"):
-            SampledFunction(times=[0.0, 1.0], values=[1.0, 1.0])
+        # A grid of fewer than two steps cannot be built, so no evaluator sees one.
+        with pytest.raises(ValueError, match="two steps"):
+            TimeGrid(0.0, 1.0, 0.6)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            SampledFunction(times=[0.0, 0.5, 1.0], values=[1.0, math.nan, 1.0])
+        grid = TimeGrid(0.0, 1.0, 0.5)
+        for evaluate in EVALUATORS.values():
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(grid, [1.0, math.nan, 1.0])
+
+    def test_rejects_wrong_length(self):
+        grid = TimeGrid(0.0, 1.0, 0.25)
+        for evaluate in EVALUATORS.values():
+            for num in (4, 6):
+                with pytest.raises(ValueError, match="one sample per node"):
+                    evaluate(grid, np.ones(num))
+
+
+def _unit_grid(num):
+    # num nodes on [0, 1]: the nodes of np.linspace(0, 1, num), bit for bit.
+    return TimeGrid(0.0, 1.0, 1.0 / (num - 1))
 
 
 class TestApproxRlDerivative:
     def test_constant_approaches_closed_form(self):
-        x = SampledFunction.from_function(lambda t: np.ones_like(t), 0.0, 1.0, 1001)
+        grid = _unit_grid(1001)
         target = power_rule_exact(0.5, 0, 1.0)
-        approx = approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 20))[-1]
+        approx = approx_rl_derivative_on_grid(grid, np.ones(1001), ExpansionConfig(0.5, 20))[-1]
         assert approx == pytest.approx(target, rel=1e-3)
 
     def test_linear_error_not_worse_with_order_beyond_quadrature_floor(self):
@@ -192,41 +214,44 @@ class TestApproxRlDerivative:
         # That floor grows with N (larger weights amplify it), hence the
         # comparison allows it explicitly; transcription bugs would exceed
         # the floor by orders of magnitude.
-        x = SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 1001)
+        grid = _unit_grid(1001)
+        ts, h = grid.uniform_nodes()
         target = power_rule_exact(0.5, 1, 1.0)
-        err5 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 5))[-1] - target)
-        err20 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 20))[-1] - target)
-        floor = _trapezoid_floor(0.5, 20, x.step)
+        err5 = abs(approx_rl_derivative_on_grid(grid, ts, ExpansionConfig(0.5, 5))[-1] - target)
+        err20 = abs(approx_rl_derivative_on_grid(grid, ts, ExpansionConfig(0.5, 20))[-1] - target)
+        floor = _trapezoid_floor(0.5, 20, h)
         assert err5 <= floor
         assert err20 <= err5 + floor
 
     def test_quadratic_error_shrinks_with_order(self):
-        x = SampledFunction.from_function(lambda t: t ** 2, 0.0, 1.0, 1001)
+        grid = _unit_grid(1001)
+        t2 = grid.nodes() ** 2
         target = power_rule_exact(0.5, 2, 1.0)
-        err5 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 5))[-1] - target)
-        err20 = abs(approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 20))[-1] - target)
+        err5 = abs(approx_rl_derivative_on_grid(grid, t2, ExpansionConfig(0.5, 5))[-1] - target)
+        err20 = abs(approx_rl_derivative_on_grid(grid, t2, ExpansionConfig(0.5, 20))[-1] - target)
         assert err20 <= err5
 
     def test_linearity(self):
-        ts = np.linspace(0.0, 1.0, 501)
-        u = SampledFunction(times=ts, values=np.sin(3.0 * ts) + 1.5)
-        v = SampledFunction(times=ts, values=ts ** 1.5 + 0.2)
-        combo = SampledFunction(times=ts, values=2.0 * u.values + 3.0 * v.values)
+        grid = _unit_grid(501)
+        ts = grid.nodes()
+        u = np.sin(3.0 * ts) + 1.5
+        v = ts ** 1.5 + 0.2
         cfg = ExpansionConfig(0.5, 8)
-        lhs = approx_rl_derivative_on_grid(combo, cfg)[-1]
-        rhs = (2.0 * approx_rl_derivative_on_grid(u, cfg)[-1]
-               + 3.0 * approx_rl_derivative_on_grid(v, cfg)[-1])
+        lhs = approx_rl_derivative_on_grid(grid, 2.0 * u + 3.0 * v, cfg)[-1]
+        rhs = (2.0 * approx_rl_derivative_on_grid(grid, u, cfg)[-1]
+               + 3.0 * approx_rl_derivative_on_grid(grid, v, cfg)[-1])
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
     def test_rejects_classical_order(self):
-        x = SampledFunction.from_function(lambda t: t.copy(), 0.0, 1.0, 101)
+        grid = _unit_grid(101)
         with pytest.raises(ValueError, match="alpha < 1"):
-            approx_rl_derivative_on_grid(x, ExpansionConfig(1.0, 5))
+            approx_rl_derivative_on_grid(grid, grid.nodes(), ExpansionConfig(1.0, 5))
 
     def test_rejects_mismatched_terminal(self):
-        x = SampledFunction.from_function(lambda t: t.copy(), 0.5, 1.0, 101)
-        with pytest.raises(ValueError, match="lower terminal"):
-            approx_rl_derivative_on_grid(x, ExpansionConfig(0.5, 5))
+        # The rule of the fractional runs: no tolerance around t = 0.
+        for grid in (TimeGrid(0.5, 1.0, 0.5 / 100), TimeGrid(1e-12, 1.0, 0.01)):
+            with pytest.raises(ValueError, match="lower terminal"):
+                approx_rl_derivative_on_grid(grid, grid.nodes(), ExpansionConfig(0.5, 5))
 
 
 def _trapezoid_floor(alpha, order_n, step):

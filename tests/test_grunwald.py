@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracepi.dengue import StateVector, classical_rhs
-from fracepi.expansion import ExpansionConfig, SampledFunction
+from fracepi.expansion import ExpansionConfig
 from fracepi.grunwald import (_BLOCK, _CHUNK, gl_derivative_on_grid, gl_simulate,
                               gl_weights, power_rule_exact)
 from fracepi.integrate import BlowUpError, TimeGrid, simulate_fractional
@@ -90,20 +90,25 @@ class TestGlWeights:
             gl_weights(0.5, -1)
 
 
+def _unit_grid(num):
+    # num nodes on [0, 1]: the nodes of np.linspace(0, 1, num), bit for bit.
+    return TimeGrid(0.0, 1.0, 1.0 / (num - 1))
+
+
 class TestGlDerivativeAt:
     @pytest.mark.parametrize("alpha,k", [(0.3, 0), (0.3, 1), (0.3, 2),
                                          (0.5, 0), (0.5, 1), (0.5, 2),
                                          (0.9, 0), (0.9, 1), (0.9, 2)])
     def test_matches_power_rule(self, alpha, k):
-        x = SampledFunction.from_function(lambda t: t ** k, 0.0, 1.0, 10001)
-        approx = gl_derivative_on_grid(x, alpha)[-1]
+        grid = _unit_grid(10001)
+        approx = gl_derivative_on_grid(grid, grid.nodes() ** k, alpha)[-1]
         exact = power_rule_exact(alpha, k, 1.0)
         assert approx == pytest.approx(exact, rel=1e-3)
 
     def test_near_classical_order_approaches_derivative(self):
         # D^alpha t^2 at t = 1 tends to 2 t = 2 as alpha -> 1.
-        x = SampledFunction.from_function(lambda t: t ** 2, 0.0, 1.0, 10001)
-        approx = gl_derivative_on_grid(x, 0.999)[-1]
+        grid = _unit_grid(10001)
+        approx = gl_derivative_on_grid(grid, grid.nodes() ** 2, 0.999)[-1]
         assert approx == pytest.approx(2.0, rel=1e-2)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -112,19 +117,19 @@ class TestGlDerivativeAt:
         exact = power_rule_exact(alpha, k, 1.0)
         errors = []
         for num in (2501, 5001, 10001):
-            x = SampledFunction.from_function(lambda t: t ** k, 0.0, 1.0, num)
-            errors.append(abs(gl_derivative_on_grid(x, alpha)[-1] - exact))
+            grid = _unit_grid(num)
+            errors.append(abs(gl_derivative_on_grid(grid, grid.nodes() ** k, alpha)[-1] - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert 1.8 <= coarse / fine <= 2.2
 
     def test_linearity(self):
-        ts = np.linspace(0.0, 1.0, 801)
-        u = SampledFunction(times=ts, values=np.cos(2.0 * ts))
-        v = SampledFunction(times=ts, values=ts ** 3 + 1.0)
-        combo = SampledFunction(times=ts, values=4.0 * u.values - 1.5 * v.values)
-        lhs = gl_derivative_on_grid(combo, 0.7)[-1]
-        rhs = (4.0 * gl_derivative_on_grid(u, 0.7)[-1]
-               - 1.5 * gl_derivative_on_grid(v, 0.7)[-1])
+        grid = _unit_grid(801)
+        ts = grid.nodes()
+        u = np.cos(2.0 * ts)
+        v = ts ** 3 + 1.0
+        lhs = gl_derivative_on_grid(grid, 4.0 * u - 1.5 * v, 0.7)[-1]
+        rhs = (4.0 * gl_derivative_on_grid(grid, u, 0.7)[-1]
+               - 1.5 * gl_derivative_on_grid(grid, v, 0.7)[-1])
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -134,14 +139,27 @@ class TestGlDerivativeOnGrid:
         # Five history chunks and a partial one: the far field of the later
         # blocks adds up chunk spectra kept from earlier blocks.
         num = 5 * _CHUNK + 7
-        x = SampledFunction.from_function(np.exp, 0.0, 2.0, num)
+        grid = TimeGrid(0.0, 2.0, 2.0 / (num - 1))
+        ts, h = grid.uniform_nodes()
+        values = np.exp(ts)
         w = gl_weights(alpha, num - 1)
-        direct = np.array([w[:k + 1] @ x.values[k::-1] for k in range(1, num)])
-        expected = x.step ** (-alpha) * direct
-        got = gl_derivative_on_grid(x, alpha)
+        direct = np.array([w[:k + 1] @ values[k::-1] for k in range(1, num)])
+        expected = h ** (-alpha) * direct
+        got = gl_derivative_on_grid(grid, values, alpha)
         np.testing.assert_allclose(got, expected, rtol=1e-11)
         # The first block has no older nodes: its entries are the direct sums.
         assert np.array_equal(got[:_BLOCK], expected[:_BLOCK])
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_scales_by_the_grid_step(self, alpha):
+        # Nodes 0, 0.1, 0.2, 0.3, and the one step h = 0.3 / 3 of
+        # `gl_simulate`, which is not 0.1 - 0 in floating point.
+        grid = TimeGrid(0.0, 0.3, 0.1)
+        values = np.exp(grid.nodes())
+        w = gl_weights(alpha, 3)
+        direct = np.array([w[:k + 1] @ values[k::-1] for k in range(1, 4)])
+        got = gl_derivative_on_grid(grid, values, alpha)
+        assert np.array_equal(got, (0.3 / 3) ** (-alpha) * direct)
 
 
 class TestPowerRuleExact:
@@ -203,8 +221,8 @@ class TestGlSimulate:
                           for t, y in zip(series.times[:-1], series.values[:-1])])
         populations = [params.n_h] * 3 + [params.n_m] * 2
         for c, population in enumerate(populations):
-            x = SampledFunction(times=series.times, values=series.values[:, c])
-            np.testing.assert_allclose(gl_derivative_on_grid(x, alpha), field[:, c],
+            np.testing.assert_allclose(gl_derivative_on_grid(grid, series.values[:, c], alpha),
+                                       field[:, c],
                                        rtol=0.0, atol=1e-11 * population)
 
     def test_single_interior_peak_confirmed_by_halving(self, scenario):
