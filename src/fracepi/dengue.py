@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,25 @@ class ModelParams:
                 f"n_m = {self.n_m!r} does not equal m_ratio * n_h = "
                 f"{self.m_ratio * self.n_h!r}"
             )
+
+    @cached_property
+    def _rates(self) -> tuple[float, ...]:
+        """The products and sums of constants that `classical_rhs` reads.
+
+        B beta_mh, B beta_hm, n_h, mu_h, mu_h n_h, eta_h + mu_h, eta_h,
+        mu_m n_m and mu_m, each formed as in the one-state expressions.
+        """
+        b = self.bite_rate
+        return (b * self.beta_mh, b * self.beta_hm, self.n_h, self.mu_h,
+                self.mu_h * self.n_h, self.eta_h + self.mu_h, self.eta_h,
+                self.mu_m * self.n_m, self.mu_m)
+
+    @cached_property
+    def _rate_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_rates` as the two rows `_classical_rhs_rows` multiplies by:
+        (B beta_mh, B beta_hm) and the loss rate of each compartment."""
+        b_mh, b_hm, _, mu_h, _, leave_h, _, _, mu_m = self._rates
+        return np.array([b_mh, b_hm]), np.array([mu_h, leave_h, mu_h, mu_m, mu_m])
 
 
 @dataclass(frozen=True)
@@ -131,14 +151,15 @@ def classical_rhs(t: float, y, params: ModelParams):
     # Scalar arithmetic on Python floats is several times cheaper than
     # numpy's on five values, and IEEE-identical.
     s_h, i_h, r_h, s_m, i_m = y
-    foi_host = params.bite_rate * params.beta_mh * i_m / params.n_h
-    foi_vector = params.bite_rate * params.beta_hm * i_h / params.n_h
+    b_mh, b_hm, n_h, mu_h, birth_h, leave_h, eta_h, birth_m, mu_m = params._rates
+    foi_host = b_mh * i_m / n_h
+    foi_vector = b_hm * i_h / n_h
     return [
-        params.mu_h * params.n_h - (foi_host + params.mu_h) * s_h,
-        foi_host * s_h - (params.eta_h + params.mu_h) * i_h,
-        params.eta_h * i_h - params.mu_h * r_h,
-        params.mu_m * params.n_m - (foi_vector + params.mu_m) * s_m,
-        foi_vector * s_m - params.mu_m * i_m,
+        birth_h - (foi_host + mu_h) * s_h,
+        foi_host * s_h - leave_h * i_h,
+        eta_h * i_h - mu_h * r_h,
+        birth_m - (foi_vector + mu_m) * s_m,
+        foi_vector * s_m - mu_m * i_m,
     ]
 
 
@@ -149,17 +170,16 @@ def _classical_rhs_rows(y: np.ndarray, params: ModelParams) -> np.ndarray:
     (the susceptibles) lose (foi + mu) S and gain mu N, columns 1 and 4
     gain foi S, and every other loss is a constant rate times the column.
     """
+    _, _, n_h, _, birth_h, _, eta_h, birth_m, _ = params._rates
+    bite, base = params._rate_rows
     susceptible = y[..., ::3]
-    foi = np.array([params.bite_rate * params.beta_mh,
-                    params.bite_rate * params.beta_hm]) * y[..., 4::-3] / params.n_h
-    base = np.array([params.mu_h, params.eta_h + params.mu_h, params.mu_h,
-                     params.mu_m, params.mu_m])
+    foi = bite * y[..., 4::-3] / n_h
     loss = base * y
     np.multiply(foi + base[::3], susceptible, out=loss[..., ::3])
     gain = np.empty_like(loss)
-    gain[..., ::3] = params.mu_h * params.n_h, params.mu_m * params.n_m
+    gain[..., ::3] = birth_h, birth_m
     np.multiply(foi, susceptible, out=gain[..., 1::3])
-    np.multiply(params.eta_h, y[..., 1], out=gain[..., 2])
+    np.multiply(eta_h, y[..., 1], out=gain[..., 2])
     return np.subtract(gain, loss, out=gain)
 
 

@@ -103,6 +103,18 @@ def percentage_error(predicted: TimeSeries, obs: ObservedSeries) -> float:
     return float(100.0 * np.mean(np.abs(sampled - obs.infected) / obs.infected))
 
 
+def _check_on_grid(times: np.ndarray, grid: TimeGrid) -> None:
+    """Refuse, before any run, a time outside the span of the grid's nodes.
+
+    The rule is that of the runs' own series, `TimeSeries.nearest_index`,
+    here on the nodes as a series of no columns.
+    """
+    nodes = grid.nodes()
+    series = TimeSeries(times=nodes, values=np.empty((len(nodes), 0)), columns=())
+    for t in times:
+        series.nearest_index(t)
+
+
 def _best_point(curve: Sequence[CurvePoint]) -> CurvePoint | None:
     """Argmin over the curve; ties break towards the smallest alpha."""
     return min((p for p in curve if p.status == "ok"), key=lambda p: p.error_pct, default=None)
@@ -130,11 +142,8 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
         raise ValueError("alpha_grid must be sorted in strictly ascending order")
     if n_order < 2:
         raise ValueError(f"n_order must be >= 2, got {n_order}")
-    # Observations off the grid are refused before any run, by the rule of
-    # the runs' own series: the nodes as a series of no columns.
-    nodes = grid.nodes()
-    for t in (obs.times[0], obs.times[-1]):
-        TimeSeries(times=nodes, values=np.empty((len(nodes), 0)), columns=()).nearest_index(t)
+    # The times are increasing, so the first and the last bound the span.
+    _check_on_grid(obs.times[[0, -1]], grid)
 
     # The alpha < 1 candidates run as one batch; alpha = 1 (at most one, the
     # last) takes the classical bypass.
@@ -173,11 +182,13 @@ def generate_synthetic(params: ModelParams, y0: StateVector, alpha_star: float,
     nearest the requested times, and applies multiplicative noise
     (1 + noise_pct/100 * u) with u drawn uniformly from [-1, 1] by a seeded
     generator.  noise_pct = 0 reproduces the model samples exactly, and a
-    fixed seed makes the series fully deterministic.
+    fixed seed makes the series fully deterministic.  A sample time outside
+    the grid raises ValueError before the run.
     """
     if noise_pct < 0:
         raise ValueError(f"noise_pct must be >= 0, got {noise_pct!r}")
     sample_times = np.asarray(sample_times, dtype=float)
+    _check_on_grid(sample_times, grid)
     cfg = ExpansionConfig(alpha=alpha_star, order_n=n_order)
     series = simulate_fractional(params, y0, cfg, grid, start_offset=start_offset)
     indices = [series.nearest_index(t) for t in sample_times]

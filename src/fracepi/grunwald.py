@@ -18,14 +18,14 @@ values for monomials, the third leg of the validation triangle.
     y_n = h^alpha f(t_{n-1}, y_{n-1}) - sum_{j=1}^{n} w_j y_{n-j},
 
 which collapses to explicit Euler at alpha = 1 (the weights become
-1, -1, 0, 0, ...).  Both it and `gl_derivative_on_grid` take their sums
-from one loop, `_gl_sums`, which keeps the full history but sums it in
-blocks of `_BLOCK` nodes (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-Comput. 6, 1985): at the start of each block one pass of fixed-size FFT
-convolutions adds up the contribution of every older node to every node
-of the block, and a direct dot product over the block's own nodes
-supplies the rest.  The per-node cost is then a short dot product, not a
-sum over the whole history.  Each completed chunk of history is
+1, -1, 0, 0, ...).  Both it and `gl_derivative_on_grid` keep the full
+history but sum it in blocks of `_BLOCK` nodes (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  One loop, `_gl_far`,
+runs once per block: one pass of fixed-size FFT convolutions adds up the
+contribution of every older node to every node of the block, the far
+field.  Each consumer adds the near field itself, a direct dot product
+over the block's own nodes, so the per-node cost is a short dot product,
+not a sum over the whole history.  Each completed chunk of history is
 transformed once and its spectrum kept for every later block: about 1.3
 times the memory of the history itself (53 bytes per node for the five
 compartments).  The loop reads its values in reverse time order, so the
@@ -72,14 +72,15 @@ _CHUNK = 3 * _BLOCK
 _FFT_LEN = 4 * _BLOCK
 
 
-def _gl_sums(w: np.ndarray, y_rev: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the history sums sum_{j=0}^{k} w_j y_{k-j} for k = 1 ... n.
+def _gl_far(w: np.ndarray, y_rev: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (s, far) for each block of `_BLOCK` nodes s + 1 ... s + count.
 
     y_rev holds y_n, ..., y_0 (reverse time order) along its first axis,
-    as scalars or as rows.  The sums are split at the start of each block
-    of `_BLOCK` nodes: the far field adds up the nodes before the block,
-    and a direct dot product the block's own nodes, in the order of
-    increasing j.
+    as scalars or as rows.  far[j] is the part of the history sum
+    sum_{i=0}^{k} w_i y_{k-i} for node k = s + 1 + j that comes from the
+    nodes before the block, y_0 ... y_s; the consumer adds the near field,
+    the block's own nodes, as the direct dot product
+    w[:j + 2] @ y_rev[n - k:n - s + 1] (increasing i).
 
     The far field is an overlap-save convolution at the one transform
     length `_FFT_LEN`: the nodes before the block, cut into chunks of
@@ -90,13 +91,12 @@ def _gl_sums(w: np.ndarray, y_rev: np.ndarray) -> Iterator[np.ndarray]:
     block transforms only its partial newest chunk and its weight windows.
     The kept spectra take _FFT_LEN // 2 + 1 complex values per `_CHUNK`
     rows, about 1.3 times the history.  The nodes before a block only
-    ever meet lags j >= 2, so the windows leave lags 0 and 1 at zero; at
-    alpha = 1, where every later weight is exactly 0, the far field is
-    exactly 0.
+    ever meet lags i >= 2, so the windows leave lags 0 and 1 at zero; the
+    first block's far field is exactly 0, and so is every block's at
+    alpha = 1, where every later weight is exactly 0.
 
-    The sum for k reads y_0 ... y_k only when it is asked for, and the nodes
-    before a block when its first sum is, so a caller may fill y_rev while
-    it iterates.
+    A block's far field reads y_0 ... y_s only when it is asked for, so a
+    caller may fill y_rev while it iterates.
     """
     fft = np.fft
     n = len(y_rev) - 1
@@ -125,9 +125,7 @@ def _gl_sums(w: np.ndarray, y_rev: np.ndarray) -> Iterator[np.ndarray]:
             u[q0:q1] = w[lo + q0:lo + q1]
             acc += chunk * fft.rfft(u)
         far = fft.irfft(acc, _FFT_LEN)[:, _CHUNK - 1:_CHUNK - 1 + count].T
-        far = far.reshape((count,) + y_rev.shape[1:])
-        for k in range(s + 1, s + count + 1):
-            yield far[k - s - 1] + w[:k - s + 1] @ y_rev[n - k:n - s + 1]
+        yield s, far.reshape((count,) + y_rev.shape[1:])
 
 
 def gl_derivative_on_grid(grid: TimeGrid, values: np.ndarray, alpha: float) -> np.ndarray:
@@ -136,14 +134,22 @@ def gl_derivative_on_grid(grid: TimeGrid, values: np.ndarray, alpha: float) -> n
     values holds one finite sample of x per node of `grid.nodes()`, and the
     grid must be commensurate (`TimeGrid.uniform_nodes`, whose step h
     scales the sums).  Entry k - 1 is h^(-alpha) sum_{j=0}^{k} w_j x(t_{k-j})
-    and belongs to node k.  The sums come from `_gl_sums`, so the first
-    `_BLOCK` entries carry the bits of a direct sum, and later ones equal it
-    to about 1e-12 relative.  Converges with first order in the grid step
-    for the smooth functions used here.
+    and belongs to node k.  Each sum is the far field of `_gl_far` plus the
+    block's own nodes as a direct dot product, so the first `_BLOCK`
+    entries, whose far field is exactly 0, carry the bits of a direct sum,
+    and later ones equal it to about 1e-12 relative.  Converges with first
+    order in the grid step for the smooth functions used here.
     """
     _, h, values = _grid_samples(grid, values)
     n = len(values) - 1
-    sums = np.fromiter(_gl_sums(gl_weights(alpha, n), values[::-1]), float, n)
+    w = gl_weights(alpha, n)
+    y_rev = values[::-1]
+    sums = np.empty(n)
+    for s, far in _gl_far(w, y_rev):
+        for j, far_k in enumerate(far):
+            k = s + 1 + j
+            # `@`, not np.dot: on this reversed view np.dot rounds differently.
+            sums[k - 1] = far_k + w[:j + 2] @ y_rev[n - k:n - s + 1]
     return h ** (-alpha) * sums
 
 
@@ -173,16 +179,18 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     `grid.uniform_nodes()`: the nodes of `integrate`, on a grid that must
     be commensurate.
 
-    The history sums come from `_gl_sums`, the loop that also serves
-    `gl_derivative_on_grid`.  The state is kept in reverse time order in a
-    zero-filled buffer, so y_n is still 0 when its own sum is formed and
-    the w_0 term adds nothing; the result is that buffer read backwards.
-    The order of every operation is fixed, so repeated runs are bit-for-bit
+    Each block's far field comes from `_gl_far`, the loop that also serves
+    `gl_derivative_on_grid`, as one list of rows; each node adds its near
+    field, a dot product over the block's own nodes, and steps on Python
+    floats.  The state is kept in reverse time order in a zero-filled
+    buffer, so y_n is still 0 when its own sum is formed and the w_0 term
+    adds nothing; the result is that buffer read backwards.  The order of
+    every operation is fixed, so repeated runs are bit-for-bit
     reproducible.  The results equal the direct sum over the whole history
     to about 1e-12 relative; at alpha = 1 they are exactly explicit Euler,
     because the older nodes only meet the weights w_j with j >= 2, which
     are then exactly 0.  Finiteness is checked at the end of each block,
-    before the next block's sums read it.
+    before the next block's far field reads it.
 
     A compartment below zero by more than the tolerance of
     `integrate.simulate_fractional` (a step above explicit stability) is
@@ -198,20 +206,22 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     y_rev = np.zeros((n + 1, 5))            # y_n, ..., y_0
     y_rev[n] = y = y0.as_array().tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, history in enumerate(_gl_sums(w, y_rev), 1):
-            # On Python floats: the same IEEE operations as on the row, without
-            # numpy's per-call cost on five values.
-            y = [h_alpha * fc - hc
-                 for fc, hc in zip(classical_rhs(ts[k - 1], y, params), history.tolist())]
-            y_rev[n - k] = y
-            if k % _BLOCK == 0 or k == n:
-                # At a block's end, before the next block's far field reads it:
-                # a non-finite node only spoils the nodes after it.  Row i is
-                # node k - i, and the rows before the block are finite.
-                finite = np.isfinite(y_rev[n - k:n - k + _BLOCK]).all(axis=1)
-                if not finite.all():
-                    i = k - int(np.flatnonzero(~finite)[-1])
-                    raise BlowUpError(time=float(ts[i]), step_index=i)
+        for s, far in _gl_far(w, y_rev):
+            count = len(far)
+            for j, (t, far_k) in enumerate(zip(ts[s:s + count].tolist(), far.tolist())):
+                k = s + 1 + j
+                near = np.dot(w[:j + 2], y_rev[n - k:n - s + 1]).tolist()
+                # On Python floats: the same IEEE operations as on the rows,
+                # without numpy's per-call cost on five values.
+                y = [h_alpha * fc - (ac + bc)
+                     for fc, ac, bc in zip(classical_rhs(t, y, params), far_k, near)]
+                y_rev[n - k] = y
+            # A non-finite node only spoils the nodes after it.  Row i of the
+            # block is node s + count - i, and the rows before it are finite.
+            finite = np.isfinite(y_rev[n - s - count:n - s]).all(axis=1)
+            if not finite.all():
+                i = s + count - int(np.flatnonzero(~finite)[-1])
+                raise BlowUpError(time=float(ts[i]), step_index=i)
     series = TimeSeries(times=ts, values=y_rev[::-1], columns=DENGUE_COLUMNS)
     _warn_undershoot(series, params)
     return series

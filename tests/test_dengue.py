@@ -122,6 +122,29 @@ class TestClassicalRhs:
             assert np.array_equal(out, classical_rhs(0.0, row.tolist(), params))
 
 
+    def test_both_paths_equal_the_model_equations_bitwise(self, rng):
+        # The module docstring's five equations on the parameter fields, in
+        # their order of operations: the precomputed rates must not change
+        # a bit on either path.
+        params = ModelParams(n_h=1234.5, n_m=3703.5, m_ratio=3.0, bite_rate=0.61,
+                             beta_mh=0.27, beta_hm=0.43, mu_h=3.7e-5, mu_m=0.071,
+                             eta_h=0.29)
+        states = rng.uniform(-10.0, 4000.0, (200, 5))
+        rows = classical_rhs(0.0, states, params)
+        p = params
+        for y, row in zip(states.tolist(), rows):
+            s_h, i_h, r_h, s_m, i_m = y
+            expected = [
+                p.mu_h * p.n_h - (p.bite_rate * p.beta_mh * i_m / p.n_h + p.mu_h) * s_h,
+                p.bite_rate * p.beta_mh * i_m / p.n_h * s_h - (p.eta_h + p.mu_h) * i_h,
+                p.eta_h * i_h - p.mu_h * r_h,
+                p.mu_m * p.n_m - (p.bite_rate * p.beta_hm * i_h / p.n_h + p.mu_m) * s_m,
+                p.bite_rate * p.beta_hm * i_h / p.n_h * s_m - p.mu_m * i_m,
+            ]
+            assert classical_rhs(0.0, y, params) == expected
+            assert row.tolist() == expected
+
+
 class TestPopulationDrift:
     def test_balanced_trajectory_has_zero_drift(self, scenario):
         params, y0 = scenario

@@ -226,6 +226,19 @@ class TestGenerateSynthetic:
         assert np.all(ratio >= 0.9 - 1e-12)
         assert np.all(ratio <= 1.1 + 1e-12)
 
+    def test_rejects_off_grid_sample_time_before_stepping(self, scenario, monkeypatch):
+        params, y0 = scenario
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("stepped before the sample times were checked")
+
+        monkeypatch.setattr("fracepi.fitting.simulate_fractional", no_run)
+        for times in ([10.0, 150.0], [-1.0, 10.0], [150.0, 10.0]):
+            with pytest.raises(ValueError, match="outside the simulated span"):
+                generate_synthetic(params, y0, alpha_star=0.95, n_order=7,
+                                   sample_times=times, noise_pct=0.0, seed=1,
+                                   grid=TimeGrid(0.0, 100.0, 0.01))
+
     def test_rejects_negative_noise(self, scenario):
         params, y0 = scenario
         with pytest.raises(ValueError, match="noise_pct"):

@@ -8,7 +8,7 @@ import pytest
 
 from fracepi.dengue import StateVector, classical_rhs
 from fracepi.expansion import ExpansionConfig
-from fracepi.grunwald import (_BLOCK, _CHUNK, gl_derivative_on_grid, gl_simulate,
+from fracepi.grunwald import (_BLOCK, _CHUNK, _gl_far, gl_derivative_on_grid, gl_simulate,
                               gl_weights, power_rule_exact)
 from fracepi.integrate import BlowUpError, TimeGrid, simulate_fractional
 
@@ -160,6 +160,34 @@ class TestGlDerivativeOnGrid:
         direct = np.array([w[:k + 1] @ values[k::-1] for k in range(1, 4)])
         got = gl_derivative_on_grid(grid, values, alpha)
         assert np.array_equal(got, (0.3 / 3) ** (-alpha) * direct)
+
+
+class TestGlFar:
+    # Two full history chunks and a partial one, so kept spectra are read too.
+    N = 2 * _CHUNK + _BLOCK + 37
+
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_blocks_cover_every_node_once(self, rng, shape):
+        y_rev = rng.uniform(-1.0, 1.0, (self.N + 1,) + shape)
+        blocks = list(_gl_far(gl_weights(0.7, self.N), y_rev))
+        assert [s for s, _ in blocks] == list(range(0, self.N, _BLOCK))
+        assert all(far.shape[1:] == shape for _, far in blocks)
+        assert sum(len(far) for _, far in blocks) == self.N
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
+    def test_first_block_far_field_is_zero(self, rng, alpha):
+        y_rev = rng.uniform(-1.0, 1.0, (self.N + 1, 5))
+        s, far = next(_gl_far(gl_weights(alpha, self.N), y_rev))
+        assert s == 0
+        assert far.shape == (_BLOCK, 5)
+        assert np.all(far == 0.0)
+
+    def test_classical_order_far_field_is_zero(self, rng):
+        # At alpha = 1 the weights past lag 1 are exactly 0, and the older
+        # nodes never meet lags 0 and 1.
+        y_rev = rng.uniform(-1e5, 1e5, (self.N + 1, 5))
+        for _, far in _gl_far(gl_weights(1.0, self.N), y_rev):
+            assert np.all(far == 0.0)
 
 
 class TestPowerRuleExact:
