@@ -19,20 +19,20 @@ and `simulate_batch` steps B orders of one N together, storing only the
 five physical columns.  The augmented system is an arrow (see
 `expansion.AugmentedSystem`): each moment V_p reads only its compartment
 x, and x reads the sum of its moments.  So the fractional kernels keep x
-(batch + (5,)) apart from the moments w (batch + (N-1, 5)).  For a block
-of steps they evaluate the arrow's time factors at every stage time, as
-many steps as BLOCK_ENTRIES factors hold, so their memory stays flat in N
-and B.  Each step then takes one matrix product for the moment sums at
-its three stage times, four stages on the five physical states alone
-(the moments enter each stage as that sum plus one precomputed scalar
-times the previous stage's x), and one matrix product that updates w.
-A single run does the stage arithmetic on Python floats, which is several
-times cheaper than numpy on five numbers; a batch does the same
-operations in the same order on (B, 5) arrays, so each member equals its
-single run bit for bit, and a member that blows up is marked failed while
-the others run on.  The classical field (`simulate_classical` and the
-alpha = 1 bypass) is stepped on Python floats too, by plain RK4 stages
-without moment terms.
+(batch + (5,)) apart from the moments w (batch + (N-1, 5)).  One block
+loop, `_arrow_steps`, gives both kernels the arrow's time factors at
+every stage time of as many steps as BLOCK_ENTRIES factors hold (at least
+one; MAX_ENTRIES bounds a larger step).  Each step then takes one matrix
+product for the moment sums at its three stage times, four stages on the
+five physical states alone (the moments enter each stage as that sum plus
+one precomputed scalar times the previous stage's x), and one matrix
+product that updates w.  A single run does the stage arithmetic on Python
+floats, which is several times cheaper than numpy on five numbers; a
+batch does the same operations in the same order on (B, 5) arrays, so
+each member equals its single run bit for bit, and a member that blows up
+is marked failed while the others run on.  The classical field
+(`simulate_classical` and the alpha = 1 bypass) is stepped on Python
+floats too, by plain RK4 stages without moment terms.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,17 +71,18 @@ UNDERSHOOT_TOL = 1e-6
 # Default start offset epsilon (days) of a fractional run.
 START_OFFSET = 1e-6
 
-# Time factors (3 stage times x batch x 2N per step) that one block of
-# fractional RK4 steps precomputes: caps the block's memory whatever N and
-# the batch size.  A step holds O(N) numbers per member, not the N x N of
-# a dense operator.
+# Time factors (3 stage times x batch x 2N per step) per block of fractional
+# RK4 steps (`_arrow_steps`); a block has at least one step, so a larger
+# step is bounded by MAX_ENTRIES instead.  A step holds O(N) numbers per
+# member, not the N x N of a dense operator.
 BLOCK_ENTRIES = 4096
 
 # A TimeGrid of more nodes is rejected before any array is allocated.
 MAX_NODES = 10 ** 6
 
-# A result (nodes x members x columns) of more float64 entries (800 MB) is
-# rejected before any array is allocated.
+# A run whose result (nodes x members x columns) and expansion arrays (per
+# member 2 x 2N weights, 5 (N-1) moments and one step's 3 x 2N time
+# factors) exceed this many float64 entries (800 MB) is refused first.
 MAX_ENTRIES = 10 ** 8
 
 
@@ -219,11 +220,14 @@ def _rk4(f: Callable[[float, list], Sequence[float]], ts: np.ndarray, x: list,
         out[i + 1] = x
 
 
-def _arrow_steps(system: AugmentedSystem,
-                 nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the RK4 steps between consecutive nodes need of the arrow form.
+def _arrow_steps(system: AugmentedSystem, ts: np.ndarray
+                 ) -> Iterator[tuple[int, list, np.ndarray, np.ndarray, np.ndarray]]:
+    """The one block loop of the arrow kernels: yield (start, tl, g, rw, coefs) per block.
 
-    For each step from t to t + h, at its stage times t, t + h/2 and t + h
+    A block is the RK4 steps from node ts[start] to the next nodes, as
+    many as BLOCK_ENTRIES time factors hold (3 stage times x batch x 2N
+    per step), and at least one; tl holds its nodes as Python floats.  For
+    each step from t to t + h, at its stage times t, t + h/2 and t + h
     (the kernels' own expressions): g, the rows g(t_j) of the moment sums,
     of shape (steps,) + batch + (3, N-1); rw, the columns (h/6) r(t),
     (h/3) r(t + h/2) and (h/6) r(t + h) of the moment update, of shape
@@ -233,20 +237,18 @@ def _arrow_steps(system: AugmentedSystem,
     its x: (h/2) r(t).g(t + h/2), (h/2) r(t + h/2).g(t + h/2) and
     h r(t + h/2).g(t + h).
     """
-    t, h = nodes[:-1], np.diff(nodes)
-    s, a, g, r = system.arrow(np.stack([t, t + 0.5 * h, t + h], axis=-1))
-    lead = (len(h),) + (1,) * (system.factors.ndim - 1)
-    q = (np.stack([0.5 * h, 0.5 * h, h], axis=-1).reshape(lead + (3,))
-         * (r[..., [0, 1, 1], :] * g[..., [1, 1, 2], :]).sum(axis=-1))
-    weights = np.stack([h / 6.0, h / 3.0, h / 6.0], axis=-1).reshape(lead + (3, 1))
-    rw = np.ascontiguousarray(np.swapaxes(weights * r, -1, -2))
-    coefs = np.moveaxis(np.concatenate([s, a, q], axis=-1), -1, 1)
-    return g, rw, coefs
-
-
-def _block_steps(system: AugmentedSystem) -> int:
-    """RK4 steps per block: BLOCK_ENTRIES time factors, and at least one step."""
-    return max(1, BLOCK_ENTRIES // (3 * system.factors.size))
+    block = max(1, BLOCK_ENTRIES // (3 * system.factors.size))
+    for start in range(0, len(ts) - 1, block):
+        nodes = ts[start:start + block + 1]
+        t, h = nodes[:-1], np.diff(nodes)
+        s, a, g, r = system.arrow(np.stack([t, t + 0.5 * h, t + h], axis=-1))
+        lead = (len(h),) + (1,) * (system.factors.ndim - 1)
+        q = (np.stack([0.5 * h, 0.5 * h, h], axis=-1).reshape(lead + (3,))
+             * (r[..., [0, 1, 1], :] * g[..., [1, 1, 2], :]).sum(axis=-1))
+        weights = np.stack([h / 6.0, h / 3.0, h / 6.0], axis=-1).reshape(lead + (3, 1))
+        rw = np.ascontiguousarray(np.swapaxes(weights * r, -1, -2))
+        coefs = np.moveaxis(np.concatenate([s, a, q], axis=-1), -1, 1)
+        yield start, nodes.tolist(), g, rw, coefs
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -265,11 +267,7 @@ def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: list, w: np.ndarray, 
     """
     f = system.rhs
     isfinite = math.isfinite
-    block = _block_steps(system)
-    for start in range(0, len(ts) - 1, block):
-        nodes = ts[start:start + block + 1]
-        tl = nodes.tolist()
-        g, rw, coefs = _arrow_steps(system, nodes)
+    for start, tl, g, rw, coefs in _arrow_steps(system, ts):
         for k, (s1, s2, s4, a1, a2, a4, q2, q3, q4) in enumerate(coefs.tolist()):
             t = tl[k]
             h = tl[k + 1] - t
@@ -308,13 +306,9 @@ def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: 
     and the kernel returns as soon as every member has failed.
     """
     f = system.rhs
-    block = _block_steps(system)
     stages = np.empty(x.shape[:-1] + (3, x.shape[-1]))  # [x_1, x_2 + x_3, x_4] per member
     stage_1, stage_23, stage_4 = stages.swapaxes(0, 1)
-    for start in range(0, len(ts) - 1, block):
-        nodes = ts[start:start + block + 1]
-        tl = nodes.tolist()
-        g, rw, coefs = _arrow_steps(system, nodes)
+    for start, tl, g, rw, coefs in _arrow_steps(system, ts):
         # Each coefficient repeated along the state axis: its products with
         # the stages are then same-shape ufunc calls, the cheapest kind.
         coefs = np.ascontiguousarray(np.broadcast_to(coefs[..., None],
@@ -420,7 +414,8 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     reports the physical compartments on the requested grid, with the first
     node holding the initial state; keep_aux=True appends the auxiliary
     trajectories as extra columns.  This is the batch of shape () of
-    `simulate_batch`, through the same kernel.
+    `simulate_batch`: the same body and block loop, with the stages on
+    Python floats (`_rk4_arrow`), equal to its batch member bit for bit.
 
     alpha = 1 runs the classical field, so that case is identical to
     simulate_classical on the same grid, bit for bit.
@@ -484,7 +479,7 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     configs (batch shape (B,)).  Returns the nodes, the first `width`
     columns of every state, of shape (nodes,) + batch + (width,) (columns
     the state does not have stay zero), and the time each member failed to
-    reach, NaN for a member that reached the last node.  A result of more
+    reach, NaN for a member that reached the last node.  A run of more
     than MAX_ENTRIES entries is refused before anything is built.
     """
     check_population_balance(params, y0)
@@ -493,10 +488,12 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
         return classical_rhs(t, y, params)
 
     nodes = grid.nodes()
-    members = 1 if cfg is None or isinstance(cfg, ExpansionConfig) else len(cfg)
-    if len(nodes) * members * width > MAX_ENTRIES:
+    cfgs = () if cfg is None else (cfg,) if isinstance(cfg, ExpansionConfig) else cfg
+    members = 1 if cfg is None else len(cfgs)
+    expansion = sum(10 * c.order_n + 5 * (c.order_n - 1) for c in cfgs)  # see MAX_ENTRIES
+    if len(nodes) * members * width + expansion > MAX_ENTRIES:
         raise ValueError(f"a result of {len(nodes)} nodes x {members} runs x {width} columns "
-                         f"exceeds {MAX_ENTRIES:.0e} entries")
+                         f"and {expansion} expansion entries exceed {MAX_ENTRIES:.0e} entries")
     system = None if cfg is None else expand_system(f, cfg)
     shape = () if system is None else system.factors.shape[:-1]
     values = np.zeros((len(nodes),) + shape + (width,))

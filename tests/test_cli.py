@@ -153,6 +153,12 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match="I_h_obs"):
             read_observed_csv(str(path))
 
+    def test_trajectory_header_enforced(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,S_h\n0,1\n")
+        with pytest.raises(ValueError, match="'t' column first"):
+            read_trajectory_csv(str(path))
+
     def test_row_width_enforced(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("t,I_h_obs\n1,2\n2\n")
@@ -322,6 +328,71 @@ class TestCommands:
         assert len(err.splitlines()) == 1
         assert "t = 150.0 is outside the simulated span [0.0, 100.0]" in err
         assert "np.float64" not in err
+
+    def test_fit_expansion_arrays_over_budget_exit_1_before_building(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # Ten orders at N = 1000 on three nodes: a 150-entry result, but
+        # about 150 000 entries of weights, moments and time factors.
+        def no_system(*args, **kwargs):
+            raise AssertionError("expand_system called")
+
+        monkeypatch.setattr("fracepi.integrate.MAX_ENTRIES", 10_000)
+        monkeypatch.setattr("fracepi.integrate.expand_system", no_system)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("t_end = 0.02\nstep = 0.01\n")
+        data = tmp_path / "obs.csv"
+        data.write_text("t,I_h_obs\n0.01,216\n0.02,217\n")
+        assert main(["fit", "--config", str(cfg), "--data", str(data), "--order", "1000",
+                     "--alpha-min", "0.9", "--alpha-max", "0.99", "--alpha-step", "0.01",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+        assert "expansion entries" in err
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--alpha-step", "0"], "alpha-step must be positive"),
+        (["--alpha-min", "0.95", "--alpha-max", "0.94"], "alpha-max must not be below"),
+    ])
+    def test_fit_bad_alpha_grid_exits_1(self, tmp_path, capsys, obs_csv, flags, reason):
+        assert main(["fit", "--data", str(obs_csv), *flags,
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: {reason}")
+        assert len(err.splitlines()) == 1
+
+    def test_fit_observed_csv_without_rows_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        data.write_text("t,I_h_obs\n")
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+        assert "no data rows" in err
+
+    def test_fit_skips_blank_line_in_observed_csv(self, tmp_path, obs_csv):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("t_end = 30\nstep = 0.05\n")
+        header, first, *rest = obs_csv.read_text().splitlines(keepends=True)
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("".join([header, first, "\n", *rest]))
+        curves = []
+        for data in (obs_csv, gapped):
+            out = tmp_path / f"curve_{data.stem}.csv"
+            assert main(["fit", "--config", str(cfg), "--data", str(data),
+                         "--alpha-min", "0.94", "--alpha-max", "0.96",
+                         "--alpha-step", "0.01", "--out", str(out)]) == 0
+            curves.append(out.read_bytes())
+        assert curves[0] == curves[1]
+
+    def test_simulate_zero_epsilon_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("alpha = 0.9\nepsilon = 0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:")
+        assert len(err.splitlines()) == 1
+        assert "epsilon must be positive" in err
 
     def test_deriv_tracks_closed_form(self, tmp_path):
         out = tmp_path / "deriv.csv"

@@ -49,6 +49,10 @@ class TestStateVector:
         with pytest.raises(ValueError, match="i_h"):
             StateVector(s_h=10.0, i_h=-1.0, r_h=0.0, s_m=1.0, i_m=0.0)
 
+    def test_rejects_infinite_compartment(self):
+        with pytest.raises(ValueError, match="s_m must be finite"):
+            StateVector(s_h=10.0, i_h=1.0, r_h=0.0, s_m=np.inf, i_m=0.0)
+
     def test_array_round_trip(self):
         y = StateVector(s_h=1.0, i_h=2.0, r_h=3.0, s_m=4.0, i_m=5.0)
         assert StateVector(*y.as_array()) == y

@@ -122,6 +122,17 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             ExpansionCoefficients.from_config(ExpansionConfig(alpha=1.0, order_n=5))
 
+    def test_low_order_and_index_rejected(self):
+        with pytest.raises(ValueError, match="order_n must be >= 1"):
+            coeff_a(0.5, 0)
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            coeff_c(0.5, 1)
+
+    @pytest.mark.parametrize("a_coef, c_coefs", [(math.inf, [-0.1]), (1.0, [-0.1, math.nan])])
+    def test_non_finite_weights_rejected(self, a_coef, c_coefs):
+        with pytest.raises(ValueError, match="finite"):
+            ExpansionCoefficients(a_coef=a_coef, a_prime_coef=1.0, c_coefs=c_coefs)
+
     def test_bundle_matches_scalars(self):
         cfg = ExpansionConfig(alpha=0.7, order_n=9)
         coefs = ExpansionCoefficients.from_config(cfg)

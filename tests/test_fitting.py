@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,14 @@ class TestObservedSeries:
     def test_requires_matching_lengths(self):
         with pytest.raises(ValueError, match="mismatch"):
             ObservedSeries(times=[1.0, 2.0, 3.0], infected=[3.0, 3.0])
+
+    def test_requires_one_dimensional_times(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ObservedSeries(times=[[1.0, 2.0]], infected=[3.0, 3.0])
+
+    def test_requires_finite_counts(self):
+        with pytest.raises(ValueError, match="finite"):
+            ObservedSeries(times=[1.0, 2.0], infected=[3.0, math.nan])
 
 
 class TestPercentageError:
@@ -190,6 +199,26 @@ class TestFitAlpha:
         obs = ObservedSeries(times=[5.0, 10.0], infected=[10.0, 20.0])
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             fit_alpha(obs, params, y0, 7, [0.9, 1.1], FIT_GRID)
+
+    @pytest.mark.parametrize("n_order, alphas, match", [
+        (7, [], "must not be empty"),
+        (1, [0.9], "n_order must be >= 2"),
+    ])
+    def test_rejects_empty_grid_and_low_order(self, scenario, n_order, alphas, match):
+        params, y0 = scenario
+        obs = ObservedSeries(times=[5.0, 10.0], infected=[10.0, 20.0])
+        with pytest.raises(ValueError, match=match):
+            fit_alpha(obs, params, y0, n_order, alphas, FIT_GRID)
+
+    def test_failed_classical_candidate_named_in_error(self, scenario):
+        # eta_h = 20 on a 1-day step: the classical run leaves the finite
+        # range at t = 4 (step 4), and the alpha = 0.95 member fails too.
+        params, y0 = scenario
+        fast = dataclasses.replace(params, eta_h=20.0)
+        coarse = TimeGrid(0.0, 100.0, 1.0)
+        obs = ObservedSeries(times=[10.0, 20.0], infected=[10.0, 20.0])
+        with pytest.raises(FitFailedError, match="alpha=1: failed"):
+            fit_alpha(obs, fast, y0, 7, [0.95, 1.0], coarse)
 
 
 class TestGenerateSynthetic:

@@ -78,6 +78,19 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="span"):
             series.nearest_index(10.5)
 
+    def test_nearest_index_past_the_last_node_within_tolerance(self):
+        series = TimeSeries(times=np.linspace(0.0, 10.0, 101),
+                            values=np.zeros((101, 1)), columns=("a",))
+        assert series.nearest_index(10.0 + 1e-9) == 100
+
+    @pytest.mark.parametrize("times, width, columns, match", [
+        ([0.0, 1.0, 2.0], 1, ("a",), "num_nodes"),
+        ([0.0, 1.0], 2, ("a",), "column names"),
+    ])
+    def test_rejects_mismatched_shapes(self, times, width, columns, match):
+        with pytest.raises(ValueError, match=match):
+            TimeSeries(times=times, values=np.zeros((2, width)), columns=columns)
+
 
 class TestIntegrateRk4:
     def test_exponential_decay(self):
@@ -482,6 +495,21 @@ class TestOperatorBlocks:
             assert exc_info.value.step_index == 1
 
         assert self._peak_bytes(run) < self.PEAK_BYTES
+
+    def test_expansion_arrays_over_budget_refused_before_building(self, scenario,
+                                                                  monkeypatch):
+        # Ten members at N = 1000: a result of 3 x 10 x 5 entries, but 2 x 2N
+        # weights, 5 (N-1) moments and one step's 3 x 2N time factors per member.
+        params, y0 = scenario
+
+        def no_system(*args, **kwargs):
+            raise AssertionError("expand_system called")
+
+        monkeypatch.setattr(integrate, "MAX_ENTRIES", 10_000)
+        monkeypatch.setattr(integrate, "expand_system", no_system)
+        cfgs = [ExpansionConfig(0.9 + 0.01 * k, 1000) for k in range(10)]
+        with pytest.raises(ValueError, match="149950 expansion entries exceed"):
+            simulate_batch(params, y0, cfgs, TimeGrid(0.0, 0.02, 0.01))
 
     def test_large_batch_memory(self, scenario):
         params, y0 = scenario
