@@ -253,7 +253,7 @@ _DERIV_FUNCTIONS = {"const": 0, "t": 1, "t2": 2}
 def _cmd_deriv(args: argparse.Namespace) -> int:
     cfg = ExpansionConfig(alpha=args.alpha, order_n=args.order)
     grid = TimeGrid(t_start=0.0, t_end=args.t_end, step=args.step)
-    nodes, _ = grid.uniform_nodes()  # rejects a partial last step
+    nodes = grid.nodes()
     k = _DERIV_FUNCTIONS[args.function]
     expansion_vals = approx_rl_derivative_on_grid(grid, nodes ** k, cfg)
     gl_vals = gl_derivative_on_grid(grid, nodes ** k, cfg.alpha)

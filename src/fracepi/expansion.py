@@ -196,13 +196,6 @@ class ExpansionCoefficients:
         return cls(a_coef=a_coef, a_prime_coef=a_prime_coef, c_coefs=c_coefs)
 
 
-def _check_lower_terminal(grid: TimeGrid) -> None:
-    if grid.t_start != 0.0:
-        raise ValueError(
-            f"the grid must start at the lower terminal t = 0, got t_start = {grid.t_start!r}"
-        )
-
-
 def _grid_samples(grid: TimeGrid, values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """The nodes and step h of `grid.uniform_nodes()`, and values as one finite float per node."""
     ts, h = grid.uniform_nodes()
@@ -219,19 +212,17 @@ def approx_rl_derivative_on_grid(grid: TimeGrid, values: np.ndarray,
                                  cfg: ExpansionConfig) -> np.ndarray:
     """Evaluate the expansion of the fractional derivative at every node of grid but t = 0.
 
-    values holds one finite sample of x per node of `grid.nodes()`, and the
-    grid must be commensurate (`TimeGrid.uniform_nodes`, whose step h the
-    differences and quadratures use).  It must start at the lower terminal
-    t = 0, where the leading t^(-alpha) factor is singular, so entry i - 1
-    of the result belongs to node i.  x'(t) is the second-order finite
-    difference of `np.gradient` (one-sided at the ends); each V_p(t) is the
-    cumulative trapezoidal quadrature of (1-p) tau^(p-2) x(tau) over
-    [0, t].  A value that is not finite (high orders on fine grids) raises
-    FloatingPointError.
+    values holds one finite sample of x per node of `grid.nodes()`; the
+    differences and quadratures use the step h of `TimeGrid.uniform_nodes`.
+    The leading t^(-alpha) factor is singular at the grid's first node,
+    the lower terminal t = 0, so entry i - 1 of the result belongs to node
+    i.  x'(t) is the second-order finite difference of `np.gradient`
+    (one-sided at the ends); each V_p(t) is the cumulative trapezoidal
+    quadrature of (1-p) tau^(p-2) x(tau) over [0, t].  A value that is not
+    finite (high orders on fine grids) raises FloatingPointError.
     """
     if cfg.alpha >= 1.0:
         raise ValueError("the pointwise expansion requires alpha < 1")
-    _check_lower_terminal(grid)
     ts, h, values = _grid_samples(grid, values)
     coefs = ExpansionCoefficients.from_config(cfg)
     derivative = np.gradient(values, h, edge_order=2)

@@ -129,16 +129,16 @@ def _gl_far(w: np.ndarray, y_rev: np.ndarray) -> Iterator[tuple[int, np.ndarray]
 
 
 def gl_derivative_on_grid(grid: TimeGrid, values: np.ndarray, alpha: float) -> np.ndarray:
-    """Backward-difference values of the fractional derivative at every node of grid but t_0.
+    """Backward-difference values of the fractional derivative at every node of grid but t = 0.
 
-    values holds one finite sample of x per node of `grid.nodes()`, and the
-    grid must be commensurate (`TimeGrid.uniform_nodes`, whose step h
-    scales the sums).  Entry k - 1 is h^(-alpha) sum_{j=0}^{k} w_j x(t_{k-j})
-    and belongs to node k.  Each sum is the far field of `_gl_far` plus the
-    block's own nodes as a direct dot product, so the first `_BLOCK`
-    entries, whose far field is exactly 0, carry the bits of a direct sum,
-    and later ones equal it to about 1e-12 relative.  Converges with first
-    order in the grid step for the smooth functions used here.
+    values holds one finite sample of x per node of `grid.nodes()`.  Entry
+    k - 1 is h^(-alpha) sum_{j=0}^{k} w_j x(t_{k-j}), with the step h of
+    `TimeGrid.uniform_nodes`, and belongs to node k.  Each sum is the far
+    field of `_gl_far` plus the block's own nodes as a direct dot product,
+    so the first `_BLOCK` entries, whose far field is exactly 0, carry the
+    bits of a direct sum, and later ones equal it to about 1e-12 relative.
+    Converges with first order in the grid step for the smooth functions
+    used here.
     """
     _, h, values = _grid_samples(grid, values)
     n = len(values) - 1
@@ -175,9 +175,7 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     The vector field is evaluated at the previous node, keeping the scheme
     free of nonlinear solves; the step must be small enough for explicit
     stability (h <= 0.01 day at the default scenario's rates).  The nodes
-    and the one step h = (t_end - t_start) / n the weights assume are
-    `grid.uniform_nodes()`: the nodes of `integrate`, on a grid that must
-    be commensurate.
+    and the one step h the weights assume are `grid.uniform_nodes()`.
 
     Each block's far field comes from `_gl_far`, the loop that also serves
     `gl_derivative_on_grid`, as one list of rows; each node adds its near

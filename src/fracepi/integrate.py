@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .dengue import ModelParams, StateVector, check_population_balance, classical_rhs
-from .expansion import AugmentedSystem, ExpansionConfig, _check_lower_terminal, expand_system
+from .expansion import AugmentedSystem, ExpansionConfig, expand_system
 
 __all__ = [
     "BlowUpError",
@@ -80,9 +80,12 @@ BLOCK_ENTRIES = 4096
 # A TimeGrid of more nodes is rejected before any array is allocated.
 MAX_NODES = 10 ** 6
 
-# A run whose result (nodes x members x columns) and expansion arrays (per
-# member 2 x 2N weights, 5 (N-1) moments and one step's 3 x 2N time
-# factors) exceed this many float64 entries (800 MB) is refused first.
+# A run whose result (nodes x members x columns) and expansion arrays
+# exceed this many float64 entries (800 MB) is refused first.  Per member
+# the expansion holds 2 x 2N weights and 5 (N-1) moments, and two steps of
+# `_arrow_steps` at once (the next is built while the kernel holds the
+# last): each the arrow's 3 x 2N powers, the scaled g and rw (3 (N-1)
+# each), and one step's q temporaries (3 x 3 (N-1)).
 MAX_ENTRIES = 10 ** 8
 
 
@@ -101,7 +104,11 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform output grid in days; the last step shrinks to land on t_end."""
+    """Uniform grid in days from the lower terminal t_start = 0 to t_end.
+
+    The one grid rule of every solver and derivative evaluator: t_start is
+    0, and t_end is a whole number n of steps, to within 1e-9 of a step.
+    """
 
     t_start: float
     t_end: float
@@ -113,9 +120,10 @@ class TimeGrid:
                 raise ValueError(f"{name} must be finite")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step!r}")
-        if self.t_start >= self.t_end:
-            raise ValueError("t_start must be below t_end")
-        steps = (self.t_end - self.t_start) / self.step
+        if self.t_start != 0.0:
+            raise ValueError(f"the grid must start at the lower terminal t = 0, "
+                             f"got t_start = {self.t_start!r}")
+        steps = self.t_end / self.step
         if steps < 2:
             raise ValueError("grid must span at least two steps")
         if not math.isfinite(steps):
@@ -123,34 +131,33 @@ class TimeGrid:
                              f"step = {self.step!r}")
         if steps > MAX_NODES - 1:
             raise ValueError(f"grid of {steps:.3g} steps exceeds {MAX_NODES} nodes")
-
-    def nodes(self) -> np.ndarray:
-        """Node array; the final node is exactly t_end."""
-        span = self.t_end - self.t_start
-        n_full = int(math.floor(span / self.step + 1e-9))
-        ts = self.t_start + self.step * np.arange(n_full + 1)
-        if self.t_end - ts[-1] > 1e-9 * self.step:
-            ts = np.append(ts, self.t_end)
-        else:
-            ts[-1] = self.t_end
-        return ts
-
-    def uniform_nodes(self) -> tuple[np.ndarray, float]:
-        """`nodes()` and the one step h = (t_end - t_start) / n between them.
-
-        Raises ValueError when the last step differs from h by more than
-        1e-9 h: (t_end - t_start) is then not a whole number of steps, and
-        no single h describes the nodes.
-        """
-        ts = self.nodes()
-        h = (self.t_end - self.t_start) / (len(ts) - 1)
-        last = ts[-1] - ts[-2]
+        n = self._step_count()
+        h, last = self.t_end / n, self.t_end - self.step * (n - 1)
         if abs(last - h) > 1e-9 * h:
             raise ValueError(
                 "the grid is not commensurate: (t_end - t_start) must be an integer "
                 f"multiple of step, got steps of {self.step:g} and {last:g}"
             )
-        return ts, h
+
+    def _step_count(self) -> int:
+        """The number n of steps.
+
+        n is floor(t_end / step + 1e-9), plus one when t_end lies more than
+        1e-9 of a step past that many steps.
+        """
+        n = int(math.floor(self.t_end / self.step + 1e-9))
+        return n + (self.t_end - self.step * n > 1e-9 * self.step)
+
+    def nodes(self) -> np.ndarray:
+        """The n + 1 nodes i * step; the final node is exactly t_end."""
+        ts = self.step * np.arange(self._step_count() + 1)
+        ts[-1] = self.t_end
+        return ts
+
+    def uniform_nodes(self) -> tuple[np.ndarray, float]:
+        """`nodes()` and the one step h = t_end / n between them."""
+        ts = self.nodes()
+        return ts, self.t_end / (len(ts) - 1)
 
 
 @dataclass(frozen=True)
@@ -407,8 +414,8 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
                         keep_aux: bool = False) -> TimeSeries:
     """Integrate the fractional-order model through its augmented system.
 
-    The grid must start at the lower terminal t = 0.  All auxiliaries start
-    at zero and the physical states at their t = 0 values; integration
+    All auxiliaries start at zero and the physical states at their values
+    at the lower terminal t = 0, the grid's first node; integration
     starts at t = start_offset and the first grid interval is crossed with
     graded sub-steps (see the module docstring).  The returned series
     reports the physical compartments on the requested grid, with the first
@@ -420,7 +427,6 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     alpha = 1 runs the classical field, so that case is identical to
     simulate_classical on the same grid, bit for bit.
     """
-    _check_lower_terminal(grid)
     series = _single(params, y0, grid, cfg, start_offset, keep_aux)
     _warn_undershoot(series, params)
     return series
@@ -439,7 +445,6 @@ def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[Expansio
     BlowUpError it would raise: a member that blows up is marked at the grid
     node it failed to reach while the others run on.
     """
-    _check_lower_terminal(grid)
     nodes, values, fail_t = _simulate(params, y0, grid, cfgs, start_offset, 5)
     runs = [_member(nodes, values[:, b], fail_t[b], DENGUE_COLUMNS) for b in range(len(cfgs))]
     for run in runs:
@@ -490,7 +495,7 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     nodes = grid.nodes()
     cfgs = () if cfg is None else (cfg,) if isinstance(cfg, ExpansionConfig) else cfg
     members = 1 if cfg is None else len(cfgs)
-    expansion = sum(10 * c.order_n + 5 * (c.order_n - 1) for c in cfgs)  # see MAX_ENTRIES
+    expansion = sum(16 * c.order_n + 26 * (c.order_n - 1) for c in cfgs)  # see MAX_ENTRIES
     if len(nodes) * members * width + expansion > MAX_ENTRIES:
         raise ValueError(f"a result of {len(nodes)} nodes x {members} runs x {width} columns "
                          f"and {expansion} expansion entries exceed {MAX_ENTRIES:.0e} entries")

@@ -332,7 +332,7 @@ class TestCommands:
     def test_fit_expansion_arrays_over_budget_exit_1_before_building(self, tmp_path, capsys,
                                                                       monkeypatch):
         # Ten orders at N = 1000 on three nodes: a 150-entry result, but
-        # about 150 000 entries of weights, moments and time factors.
+        # about 420 000 entries of weights, moments and two steps' arrays.
         def no_system(*args, **kwargs):
             raise AssertionError("expand_system called")
 
@@ -415,6 +415,21 @@ class TestCommands:
         assert len(captured.err.splitlines()) == 1
         assert "steps of 0.3 and 0.1" in captured.err
 
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_partial_last_step_in_config_exits_1(self, command, tmp_path, obs_csv, capsys):
+        # The scenario file's grid breaks the one grid rule, so the file is refused.
+        config = tmp_path / "partial.cfg"
+        config.write_text("t_end = 1\nstep = 0.3\n", encoding="utf-8")
+        data = ["--data", str(obs_csv)] if command == "fit" else []
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(config), *data, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: validation: {config}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "steps of 0.3 and 0.1" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--step", "0"), ("--t-end", "inf")])
     def test_deriv_bad_window_exits_1(self, flag, value, capsys):
         assert main(["deriv", "--alpha", "0.5", "--order", "5", "--function", "t",
@@ -471,8 +486,6 @@ class TestCommands:
 BAD_NUMBERS = ("0", "-1", "-0.5", "nan", "inf", "-inf", "1e308")
 ALPHAS = st.floats(0.05, 1.0)
 ORDERS = st.integers(2, 200)
-# At least 2 and at most 1 000 steps over at most 2 days, so every valid run stays small.
-T_ENDS = st.floats(0.2, 2.0)
 STEPS = st.floats(0.002, 0.1)
 SCENARIO_VALUES = {
     "n_h": st.floats(100.0, 1e5), "m_ratio": st.floats(0.5, 5.0),
@@ -498,6 +511,24 @@ def _optional_flag(name, valid):
 
 
 @st.composite
+def grid_values(draw):
+    """t_end and step, each three parts a valid grid's to one part bad.
+
+    A valid grid is a whole number of 2 ... 1 000 steps over at most 2 days,
+    so every valid run stays small.
+    """
+    step = draw(STEPS)
+    t_end = draw(st.integers(2, int(2.0 / step))) * step
+    return draw(_number(st.just(t_end))), draw(_number(st.just(step)))
+
+
+@st.composite
+def grid_flags(draw):
+    t_end, step = draw(grid_values())
+    return [f"--t-end={t_end}", f"--step={step}"]
+
+
+@st.composite
 def coeffs_argv(draw):
     return ["coeffs"] + draw(_flag("--alpha", ALPHAS)) + draw(_flag("--order", ORDERS))
 
@@ -506,13 +537,13 @@ def coeffs_argv(draw):
 def deriv_argv(draw):
     function = draw(st.sampled_from(["t", "const", "t2"] * 3 + ["t3"]))
     return (["deriv", f"--function={function}"] + draw(_flag("--alpha", ALPHAS))
-            + draw(_flag("--order", ORDERS)) + draw(_optional_flag("--t-end", T_ENDS))
-            + draw(_optional_flag("--step", STEPS)))
+            + draw(_flag("--order", ORDERS)) + draw(st.one_of(st.just([]), grid_flags())))
 
 
 @st.composite
 def scenario_text(draw):
-    lines = [f"t_end = {draw(_number(T_ENDS))}", f"step = {draw(_number(STEPS))}"]
+    t_end, step = draw(grid_values())
+    lines = [f"t_end = {t_end}", f"step = {step}"]
     for key in draw(st.lists(st.sampled_from(sorted(SCENARIO_VALUES)), max_size=4,
                              unique=True)):
         lines.append(f"{key} = {draw(_number(SCENARIO_VALUES[key]))}")

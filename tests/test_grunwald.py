@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from fracepi.dengue import StateVector, classical_rhs
-from fracepi.expansion import ExpansionConfig
+from fracepi.expansion import ExpansionConfig, approx_rl_derivative_on_grid
 from fracepi.grunwald import (_BLOCK, _CHUNK, _gl_far, gl_derivative_on_grid, gl_simulate,
                               gl_weights, power_rule_exact)
-from fracepi.integrate import BlowUpError, TimeGrid, simulate_fractional
+from fracepi.integrate import BlowUpError, TimeGrid, simulate_batch, simulate_fractional
 
 
 def _direct_weight(alpha, j):
@@ -285,19 +285,18 @@ class TestGlSimulate:
     def test_nodes_are_the_grid_nodes(self, scenario):
         # The oracle steps the nodes the expansion reports, bit for bit.
         params, y0 = scenario
-        grid = TimeGrid(1.5, 7.3, 0.1)
+        grid = TimeGrid(0.0, 7.3, 0.1)
         assert np.array_equal(gl_simulate(params, y0, 0.9, grid).times, grid.nodes())
         grid = TimeGrid(0.0, 0.3, 0.1)
         expansion = simulate_fractional(params, y0, ExpansionConfig(0.9, 7), grid)
         assert np.array_equal(gl_simulate(params, y0, 0.9, grid).times, expansion.times)
 
-    def test_rejects_non_commensurate_grid(self, scenario):
-        # The second grid's last node is a 5e-9 d step past 10 d, which
-        # `TimeGrid.nodes()` keeps as a node of its own.
-        params, y0 = scenario
-        for grid in (TimeGrid(0.0, 1.0, 0.3), TimeGrid(0.0, 10.0 + 5e-9, 0.01)):
+    def test_rejects_non_commensurate_grid(self):
+        # The second grid would end in a 5e-9 d step past 10 d, more than
+        # 1e-9 of a step: neither grid can be built for the oracle.
+        for t_end, step in ((1.0, 0.3), (10.0 + 5e-9, 0.01)):
             with pytest.raises(ValueError, match="commensurate"):
-                gl_simulate(params, y0, 0.9, grid)
+                TimeGrid(0.0, t_end, step)
 
     def test_rejects_bad_alpha(self, scenario):
         params, y0 = scenario
@@ -342,6 +341,38 @@ class TestGlSimulate:
         assert direct.value.step_index > 3 * _BLOCK
         assert blocked.value.step_index == direct.value.step_index
         assert blocked.value.time == direct.value.time
+
+
+class TestOneGridRule:
+    """`TimeGrid` holds the one grid rule, so both solvers and both derivative
+    evaluators accept the same grids: every grid that can be built, and no
+    other."""
+
+    @pytest.mark.parametrize("t_start, t_end, step, refusal", [
+        (0.0, 2.0, 0.25, None),
+        (0.0, 1.0, 0.1, None),                   # 1 / 0.1 is 10 to within rounding
+        (0.0, 10.0 + 5e-12, 0.01, None),         # 5e-10 of a step past 1 000 steps
+        (0.0, 1.0, 0.3, "commensurate"),
+        (0.0, 10.0 + 5e-9, 0.01, "commensurate"),
+        (0.5, 2.0, 0.01, "lower terminal"),
+        (1e-12, 1.0, 0.01, "lower terminal"),
+    ])
+    def test_solvers_and_evaluators_accept_the_same_grids(self, scenario, t_start, t_end,
+                                                          step, refusal):
+        params, y0 = scenario
+        if refusal:
+            with pytest.raises(ValueError, match=refusal):
+                TimeGrid(t_start, t_end, step)
+            return
+        grid = TimeGrid(t_start, t_end, step)
+        nodes = grid.nodes()
+        assert nodes[-1] == t_end
+        cfg = ExpansionConfig(0.95, 7)
+        assert np.array_equal(simulate_fractional(params, y0, cfg, grid).times, nodes)
+        assert np.array_equal(simulate_batch(params, y0, [cfg], grid)[0].times, nodes)
+        assert np.array_equal(gl_simulate(params, y0, 0.95, grid).times, nodes)
+        assert len(approx_rl_derivative_on_grid(grid, nodes, cfg)) == len(nodes) - 1
+        assert len(gl_derivative_on_grid(grid, nodes, 0.95)) == len(nodes) - 1
 
 
 class TestPinnedGlTrajectories:

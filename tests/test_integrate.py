@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -38,10 +39,10 @@ class TestTimeGrid:
         assert len(nodes) == 10001
 
     def test_last_step_shortened(self):
-        grid = TimeGrid(t_start=0.0, t_end=1.0, step=0.3)
-        nodes = grid.nodes()
-        assert nodes[-1] == 1.0
-        assert np.allclose(nodes, [0.0, 0.3, 0.6, 0.9, 1.0])
+        # Nodes 0, 0.3, 0.6, 0.9, 1 would end in a shortened step: refused.
+        with pytest.raises(ValueError, match="commensurate") as info:
+            TimeGrid(t_start=0.0, t_end=1.0, step=0.3)
+        assert "steps of 0.3 and 0.1" in str(info.value)
 
     @pytest.mark.parametrize("kwargs", [
         dict(t_start=0.0, t_end=0.0, step=0.1),
@@ -498,8 +499,9 @@ class TestOperatorBlocks:
 
     def test_expansion_arrays_over_budget_refused_before_building(self, scenario,
                                                                   monkeypatch):
-        # Ten members at N = 1000: a result of 3 x 10 x 5 entries, but 2 x 2N
-        # weights, 5 (N-1) moments and one step's 3 x 2N time factors per member.
+        # Ten members at N = 1000: a result of 3 x 10 x 5 entries, but per
+        # member 16 N + 26 (N-1) entries of weights, moments and two steps'
+        # arrays (see MAX_ENTRIES).
         params, y0 = scenario
 
         def no_system(*args, **kwargs):
@@ -508,8 +510,28 @@ class TestOperatorBlocks:
         monkeypatch.setattr(integrate, "MAX_ENTRIES", 10_000)
         monkeypatch.setattr(integrate, "expand_system", no_system)
         cfgs = [ExpansionConfig(0.9 + 0.01 * k, 1000) for k in range(10)]
-        with pytest.raises(ValueError, match="149950 expansion entries exceed"):
+        with pytest.raises(ValueError, match="419740 expansion entries exceed"):
             simulate_batch(params, y0, cfgs, TimeGrid(0.0, 0.02, 0.01))
+
+    @pytest.mark.parametrize("members, order_n", [(1, 1000), (10, 1000), (100, 1000),
+                                                  (10, 200), (100, 40)])
+    def test_counted_entries_bound_the_peak(self, scenario, monkeypatch, members, order_n):
+        # Blocks of one step each.  At N = 200 and 1000 every member blows up
+        # in the first block; at N = 40 they run on, so a block is built
+        # while the kernel still holds the last.
+        params, y0 = scenario
+        cfgs = [ExpansionConfig(0.95 + 0.0001 * k, order_n) for k in range(members)]
+        grid = TimeGrid(0.0, 0.02, 0.01)
+        with monkeypatch.context() as patch:
+            patch.setattr(integrate, "MAX_ENTRIES", 0)
+            with pytest.raises(ValueError) as refused:
+                simulate_batch(params, y0, cfgs, grid)
+        counts = re.match(r"a result of (\d+) nodes x (\d+) runs x (\d+) columns "
+                          r"and (\d+) expansion entries", str(refused.value))
+        nodes, runs, width, expansion = map(int, counts.groups())
+        counted = nodes * runs * width + expansion
+        peak = self._peak_bytes(lambda: simulate_batch(params, y0, cfgs, grid))
+        assert peak <= 8 * counted
 
     def test_large_batch_memory(self, scenario):
         params, y0 = scenario
