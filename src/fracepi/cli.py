@@ -181,23 +181,27 @@ def _read_csv(path: str, header_error: Callable[[list[str] | None], str | None]
     """The header and the (rows, columns) float array of a CSV file.
 
     header_error returns the complaint about a wrong header, or None; it
-    is consulted before any row is parsed.  Every row must have one field
-    per header column.
+    is consulted before any row is parsed.  Every row must have one float
+    per header column; the ValueError names a bad line as <path>:<line>.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        complaint = header_error(header)
-        if complaint:
-            raise ValueError(f"{path}: {complaint}")
         rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
-            rows.append([float(cell) for cell in row])
+        try:
+            header = next(reader, None)
+            complaint = header_error(header)
+            if complaint:
+                raise ValueError(complaint)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                rows.append([float(cell) for cell in row])
+        except UnicodeDecodeError:
+            raise  # decoded in chunks: the reader's line count is not the bad byte's line
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return header, np.array(rows)

@@ -14,25 +14,25 @@ sub-steps, whose states are not stored: near the offset the stiff x/t terms
 demand steps proportional to t, and a full-size first step would destroy
 the run.
 
-The body works on any batch shape: a single run is the batch of shape (),
-and `simulate_batch` steps B orders of one N together, storing only the
-five physical columns.  The augmented system is an arrow (see
-`expansion.AugmentedSystem`): each moment V_p reads only its compartment
-x, and x reads the sum of its moments.  So the fractional kernels keep x
-(batch + (5,)) apart from the moments w (batch + (N-1, 5)).  One block
-loop, `_arrow_steps`, gives both kernels the arrow's time factors at
-every stage time of as many steps as BLOCK_ENTRIES factors hold (at least
-one; MAX_ENTRIES bounds a larger step).  Each step then takes one matrix
-product for the moment sums at its three stage times, four stages on the
-five physical states alone (the moments enter each stage as that sum plus
-one precomputed scalar times the previous stage's x), and one matrix
-product that updates w.  A single run does the stage arithmetic on Python
-floats, which is several times cheaper than numpy on five numbers; a
-batch does the same operations in the same order on (B, 5) arrays, so
-each member equals its single run bit for bit, and a member that blows up
-is marked failed while the others run on.  The classical field
-(`simulate_classical` and the alpha = 1 bypass) is stepped on Python
-floats too, by plain RK4 stages without moment terms.
+Every run is a list of configs, one member each: a single run is a list
+of one (of none for the classical field), and `simulate_batch` steps B
+orders of one N together, storing only the five physical columns.  The
+augmented system is an arrow (see `expansion.AugmentedSystem`): each
+moment V_p reads only its compartment x, and x reads the sum of its
+moments.  So the fractional kernels keep x (B, 5) apart from the moments
+w (B, N-1, 5).  One block loop, `_arrow_steps`, gives both kernels the
+arrow's time factors at every stage time of as many steps as BLOCK_ENTRIES
+factors hold (at least one; MAX_ENTRIES bounds a larger step).  Each step
+then takes one matrix product for the moment sums at its three stage
+times, four stages on the five physical states alone (the moments enter
+each stage as that sum plus one precomputed scalar times the previous
+stage's x), and one matrix product that updates w.  The member count picks
+the kernel: one member does the stage arithmetic on Python floats, several
+times cheaper than numpy on five numbers; more do the same operations in
+the same order on (B, 5) arrays, so each member equals its single run bit
+for bit, and a member that blows up is marked failed while the others run
+on.  The classical field (`simulate_classical` and the alpha = 1 bypass)
+is stepped on Python floats too, by plain RK4 stages without moment terms.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ UNDERSHOOT_TOL = 1e-6
 # Default start offset epsilon (days) of a fractional run.
 START_OFFSET = 1e-6
 
-# Time factors (3 stage times x batch x 2N per step) per block of fractional
+# Time factors (3 stage times x members x 2N per step) per block of fractional
 # RK4 steps (`_arrow_steps`); a block has at least one step, so a larger
 # step is bounded by MAX_ENTRIES instead.  A step holds O(N) numbers per
 # member, not the N x N of a dense operator.
@@ -206,8 +206,8 @@ def _rk4(f: Callable[[float, list], Sequence[float]], ts: np.ndarray, x: list,
     x is the state at ts[0] as a list of floats, and f(t, x) returns the
     derivative as a sequence of floats.  out[i] = x stores the state at
     ts[i] for i >= 1.  A state that turns non-finite puts the time it
-    failed to reach into the 0-d fail_t (NaN while the run goes on) and
-    ends the run.
+    failed to reach into fail_t (NaN while the run goes on) and ends the
+    run.
     """
     tl = ts.tolist()
     isfinite = math.isfinite
@@ -232,39 +232,37 @@ def _arrow_steps(system: AugmentedSystem, ts: np.ndarray
     """The one block loop of the arrow kernels: yield (start, tl, g, rw, coefs) per block.
 
     A block is the RK4 steps from node ts[start] to the next nodes, as
-    many as BLOCK_ENTRIES time factors hold (3 stage times x batch x 2N
-    per step), and at least one; tl holds its nodes as Python floats.  For
-    each step from t to t + h, at its stage times t, t + h/2 and t + h
+    many as BLOCK_ENTRIES time factors hold (3 stage times x B members x
+    2N per step), and at least one; tl holds its nodes as Python floats.
+    For each step from t to t + h, at its stage times t, t + h/2 and t + h
     (the kernels' own expressions): g, the rows g(t_j) of the moment sums,
-    of shape (steps,) + batch + (3, N-1); rw, the columns (h/6) r(t),
+    of shape (steps, B, 3, N-1); rw, the columns (h/6) r(t),
     (h/3) r(t + h/2) and (h/6) r(t + h) of the moment update, of shape
-    (steps,) + batch + (N-1, 3); and coefs, the scalars s and a at the
-    three times and q_2, q_3, q_4, of shape (steps, 9) + batch.  q_j is the
-    part of stage j's moment sum that the previous stage added to V through
-    its x: (h/2) r(t).g(t + h/2), (h/2) r(t + h/2).g(t + h/2) and
-    h r(t + h/2).g(t + h).
+    (steps, B, N-1, 3); and coefs, the scalars s and a at the three times
+    and q_2, q_3, q_4, of shape (steps, 9, B).  q_j is the part of stage
+    j's moment sum that the previous stage added to V through its x:
+    (h/2) r(t).g(t + h/2), (h/2) r(t + h/2).g(t + h/2) and h r(t + h/2).g(t + h).
     """
     block = max(1, BLOCK_ENTRIES // (3 * system.factors.size))
     for start in range(0, len(ts) - 1, block):
         nodes = ts[start:start + block + 1]
         t, h = nodes[:-1], np.diff(nodes)
         s, a, g, r = system.arrow(np.stack([t, t + 0.5 * h, t + h], axis=-1))
-        lead = (len(h),) + (1,) * (system.factors.ndim - 1)
-        q = (np.stack([0.5 * h, 0.5 * h, h], axis=-1).reshape(lead + (3,))
+        q = (np.stack([0.5 * h, 0.5 * h, h], axis=-1)[:, None]
              * (r[..., [0, 1, 1], :] * g[..., [1, 1, 2], :]).sum(axis=-1))
-        weights = np.stack([h / 6.0, h / 3.0, h / 6.0], axis=-1).reshape(lead + (3, 1))
+        weights = np.stack([h / 6.0, h / 3.0, h / 6.0], axis=-1)[:, None, :, None]
         rw = np.ascontiguousarray(np.swapaxes(weights * r, -1, -2))
         coefs = np.moveaxis(np.concatenate([s, a, q], axis=-1), -1, 1)
         yield start, nodes.tolist(), g, rw, coefs
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: list, w: np.ndarray, out,
+def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: np.ndarray, out,
                fail_t: np.ndarray) -> None:
-    """RK4 on the augmented system of one config.
+    """RK4 on the augmented system of a batch of one config, on Python floats.
 
-    x holds the d physical states as Python floats and w, of shape
-    (N-1, d), their moments V_2 ... V_N, one row per p; w is updated in
+    x, of shape (1, d), holds the physical states and w, of shape
+    (1, N-1, d), their moments V_2 ... V_N, one row per p; w is updated in
     place.  Each step takes one product g @ w for the moment sums at its
     three stage times; its four stages then act on x alone, and one
     product rw @ [x_1, x_2 + x_3, x_4] of the stage states updates w (see
@@ -274,8 +272,10 @@ def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: list, w: np.ndarray, 
     """
     f = system.rhs
     isfinite = math.isfinite
+    x, w = x[0].tolist(), w[0]
     for start, tl, g, rw, coefs in _arrow_steps(system, ts):
-        for k, (s1, s2, s4, a1, a2, a4, q2, q3, q4) in enumerate(coefs.tolist()):
+        g, rw = g[:, 0], rw[:, 0]
+        for k, (s1, s2, s4, a1, a2, a4, q2, q3, q4) in enumerate(coefs[..., 0].tolist()):
             t = tl[k]
             h = tl[k + 1] - t
             hh = 0.5 * h
@@ -295,7 +295,7 @@ def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: list, w: np.ndarray, 
             x = [xc + h6 * (a + 2.0 * b + 2.0 * c + d)
                  for xc, a, b, c, d in zip(x, k1, k2, k3, k4)]
             if not (all(map(isfinite, x)) and np.isfinite(w).all()):
-                fail_t[()] = tl[k + 1]
+                fail_t[0] = tl[k + 1]
                 return
             out[start + k + 1] = (x, w)
 
@@ -303,7 +303,7 @@ def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: list, w: np.ndarray, 
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: np.ndarray,
                      out, fail_t: np.ndarray) -> None:
-    """`_rk4_arrow` for a batch of B configs of one order.
+    """`_rk4_arrow` for a batch of B > 1 configs of one order, on arrays.
 
     x has shape (B, d) and w (B, N-1, d), and every operation is
     `_rk4_arrow`'s on one row per member, so each member equals its
@@ -349,10 +349,10 @@ def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: 
 class _Columns:
     """Row writer from arrow states (x, w) into the column layout.
 
-    values has shape (nodes,) + batch + (width,), its columns the five
-    physical states and, if width > 5, the moments state-major
-    (`aux_column_names`); self[i] = (x, w) writes row i - ramp, x of shape
-    batch + (5,) (or a list) and w of shape batch + (N-1, 5), and drops
+    values has shape (nodes, B, width), its columns the five physical
+    states and, if width > 5, the moments state-major (`aux_column_names`);
+    self[i] = (x, w) writes row i - ramp, x of shape (B, 5) (or, for one
+    member, a list) and w of shape (B, N-1, 5) (or (N-1, 5)), and drops
     the states i <= ramp of the start-up sub-steps before node 1.
     """
 
@@ -420,9 +420,8 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     graded sub-steps (see the module docstring).  The returned series
     reports the physical compartments on the requested grid, with the first
     node holding the initial state; keep_aux=True appends the auxiliary
-    trajectories as extra columns.  This is the batch of shape () of
-    `simulate_batch`: the same body and block loop, with the stages on
-    Python floats (`_rk4_arrow`), equal to its batch member bit for bit.
+    trajectories as extra columns.  For alpha < 1 this is `simulate_batch`
+    of one config: the same body, block loop and float kernel.
 
     alpha = 1 runs the classical field, so that case is identical to
     simulate_classical on the same grid, bit for bit.
@@ -437,14 +436,16 @@ def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[Expansio
                    ) -> list[TimeSeries | BlowUpError]:
     """Integrate the fractional model for several orders at once, one kernel for all.
 
-    cfgs is a non-empty sequence of configs of one order N, each with
-    alpha < 1; the state is x of shape (B, 5) and its moments of shape
-    (B, N-1, 5), one member per config, and only the five physical columns
-    are stored, so the result's memory does not grow with N.  Entry b of the result is what
+    cfgs is a non-empty sequence of B configs of one order N, each with
+    alpha < 1, and only the five physical columns are stored, so the
+    result's memory does not grow with N.  Entry b of the result is what
     `simulate_fractional` returns for cfgs[b], bit for bit, or the
     BlowUpError it would raise: a member that blows up is marked at the grid
-    node it failed to reach while the others run on.
+    node it failed to reach while the others run on.  One config steps on
+    Python floats, as `simulate_fractional` does, and more on arrays.
     """
+    if not cfgs:
+        raise ValueError("a batch needs at least one config")
     nodes, values, fail_t = _simulate(params, y0, grid, cfgs, start_offset, 5)
     runs = [_member(nodes, values[:, b], fail_t[b], DENGUE_COLUMNS) for b in range(len(cfgs))]
     for run in runs:
@@ -463,53 +464,51 @@ def _member(nodes: np.ndarray, values: np.ndarray, fail_t: float,
 
 def _single(params: ModelParams, y0: StateVector, grid: TimeGrid, cfg: ExpansionConfig | None,
             start_offset: float, keep_aux: bool) -> TimeSeries:
-    """One run (batch shape ()); cfg None or alpha = 1 integrates the classical field."""
+    """Member 0 of one run; cfg None or alpha = 1 integrates the classical field."""
     columns = DENGUE_COLUMNS + aux_column_names(cfg.order_n) if keep_aux else DENGUE_COLUMNS
-    classical = cfg is None or cfg.alpha == 1.0
-    nodes, values, fail_t = _simulate(params, y0, grid, None if classical else cfg,
-                                      start_offset, len(columns))
-    run = _member(nodes, values, fail_t, columns)
+    cfgs = () if cfg is None or cfg.alpha == 1.0 else (cfg,)
+    nodes, values, fail_t = _simulate(params, y0, grid, cfgs, start_offset, len(columns))
+    run = _member(nodes, values[:, 0], fail_t[0], columns)
     if isinstance(run, BlowUpError):
         raise run
     return run
 
 
 def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
-              cfg: ExpansionConfig | Sequence[ExpansionConfig] | None, start_offset: float,
+              cfgs: Sequence[ExpansionConfig], start_offset: float,
               width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one simulation body, for any batch shape.
+    """The one simulation body: a run is a sequence of configs, one member each.
 
-    cfg None integrates the classical field (batch shape ()); otherwise the
-    augmented system of one config (batch shape ()) or of a sequence of
-    configs (batch shape (B,)).  Returns the nodes, the first `width`
-    columns of every state, of shape (nodes,) + batch + (width,) (columns
-    the state does not have stay zero), and the time each member failed to
+    No config integrates the classical field, as one member; B configs of
+    one order N integrate their augmented system, and the member count
+    picks the kernel: Python floats for one (`_rk4_arrow`), (B, 5) arrays
+    for more (`_rk4_arrow_batch`).  Returns the nodes, the first `width`
+    columns of every state, of shape (nodes, members, width) (columns the
+    state does not have stay zero), and the time each member failed to
     reach, NaN for a member that reached the last node.  A run of more
     than MAX_ENTRIES entries is refused before anything is built.
     """
     check_population_balance(params, y0)
+    if start_offset <= 0 or not math.isfinite(start_offset):
+        raise ValueError(f"start_offset must be positive and finite, got {start_offset!r}")
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         return classical_rhs(t, y, params)
 
     nodes = grid.nodes()
-    cfgs = () if cfg is None else (cfg,) if isinstance(cfg, ExpansionConfig) else cfg
-    members = 1 if cfg is None else len(cfgs)
+    members = max(len(cfgs), 1)
     expansion = sum(16 * c.order_n + 26 * (c.order_n - 1) for c in cfgs)  # see MAX_ENTRIES
     if len(nodes) * members * width + expansion > MAX_ENTRIES:
         raise ValueError(f"a result of {len(nodes)} nodes x {members} runs x {width} columns "
                          f"and {expansion} expansion entries exceed {MAX_ENTRIES:.0e} entries")
-    system = None if cfg is None else expand_system(f, cfg)
-    shape = () if system is None else system.factors.shape[:-1]
-    values = np.zeros((len(nodes),) + shape + (width,))
-    values[0, ..., :5] = y0.as_array()
-    fail_t = np.full(shape, np.nan)
-    if system is None:
+    values = np.zeros((len(nodes), members, width))
+    values[0, :, :5] = y0.as_array()
+    fail_t = np.full(members, np.nan)
+    if not cfgs:
         # keep_aux of the classical bypass: the auxiliary columns stay zero.
-        _rk4(f, nodes, y0.as_array().tolist(), values[..., :5], fail_t)
+        _rk4(f, nodes, y0.as_array().tolist(), values[:, 0, :5], fail_t)
         return nodes, values, fail_t
-    if start_offset <= 0 or not math.isfinite(start_offset):
-        raise ValueError(f"start_offset must be positive and finite, got {start_offset!r}")
+    system = expand_system(f, cfgs)
     if start_offset >= nodes[1]:
         raise ValueError(
             f"start_offset = {start_offset!r} does not leave room before the "
@@ -518,11 +517,7 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     ramp = [start_offset]  # geometric sub-steps up to the first node
     while ramp[-1] * RAMP_FACTOR < nodes[1]:
         ramp.append(ramp[-1] * RAMP_FACTOR)
-    if shape:
-        step, x = _rk4_arrow_batch, np.broadcast_to(y0.as_array(), shape + (5,)).copy()
-    else:
-        step, x = _rk4_arrow, y0.as_array().tolist()
-    w = np.zeros(shape + (system.order_n - 1, 5))
-    step(system, np.concatenate([ramp, nodes[1:]]), x, w, _Columns(values, len(ramp) - 1),
-         fail_t)
+    step = _rk4_arrow if members == 1 else _rk4_arrow_batch
+    step(system, np.concatenate([ramp, nodes[1:]]), np.tile(y0.as_array(), (members, 1)),
+         np.zeros((members, system.order_n - 1, 5)), _Columns(values, len(ramp) - 1), fail_t)
     return nodes, values, fail_t

@@ -370,6 +370,20 @@ class TestCommands:
         assert len(err.splitlines()) == 1
         assert "no data rows" in err
 
+    @pytest.mark.parametrize("cell, reason", [
+        ("9" * 200_000, "field larger than field limit (131072)"),
+        # Not a float; Python 3.10's csv module refuses the NUL itself.
+        ("\x005", ""),
+    ], ids=["over_long_field", "unparsable_cell"])
+    def test_fit_bad_observed_field_exits_1_naming_its_line(self, tmp_path, capsys, cell,
+                                                           reason):
+        data = tmp_path / "obs.csv"
+        data.write_text(f"t,I_h_obs\n5,216\n10,{cell}\n")
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: {data}:3: {reason}")
+        assert len(err.splitlines()) == 1
+
     def test_fit_skips_blank_line_in_observed_csv(self, tmp_path, obs_csv):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("t_end = 30\nstep = 0.05\n")
@@ -484,6 +498,8 @@ class TestCommands:
 
 # Magnitudes that every numeric flag and scenario value is also tried with.
 BAD_NUMBERS = ("0", "-1", "-0.5", "nan", "inf", "-inf", "1e308")
+# Out-of-range values of an integer flag that argparse's int() accepts.
+BAD_INTEGERS = ("0", "-1", "1001", "12345678901234567890")
 ALPHAS = st.floats(0.05, 1.0)
 ORDERS = st.integers(2, 200)
 STEPS = st.floats(0.002, 0.1)
@@ -497,17 +513,29 @@ SCENARIO_VALUES = {
 }
 
 
+def _weighted(*parts):
+    # st.one_of drops repeats of one strategy object, so each part is a new one.
+    return st.one_of(*(make() for weight, make in parts for _ in range(weight)))
+
+
 def _number(valid):
     # Three parts valid to one part bad, so that many examples get past validation.
-    return st.one_of(*[valid.map(repr)] * 3, st.sampled_from(BAD_NUMBERS))
+    return _weighted((3, lambda: valid.map(repr)), (1, lambda: st.sampled_from(BAD_NUMBERS)))
 
 
-def _flag(name, valid):
-    return _number(valid).map(lambda value: [f"{name}={value}"])
+def _integer(valid):
+    # As `_number`, but the bad values mostly integer-shaped, so that they get
+    # past argparse into the program.
+    return _weighted((9, lambda: valid.map(repr)), (2, lambda: st.sampled_from(BAD_INTEGERS)),
+                     (1, lambda: st.sampled_from(BAD_NUMBERS)))
 
 
-def _optional_flag(name, valid):
-    return st.one_of(st.just([]), _flag(name, valid))
+def _flag(name, valid, values=_number):
+    return values(valid).map(lambda value: [f"{name}={value}"])
+
+
+def _optional_flag(name, valid, values=_number):
+    return st.one_of(st.just([]), _flag(name, valid, values))
 
 
 @st.composite
@@ -530,14 +558,16 @@ def grid_flags(draw):
 
 @st.composite
 def coeffs_argv(draw):
-    return ["coeffs"] + draw(_flag("--alpha", ALPHAS)) + draw(_flag("--order", ORDERS))
+    return (["coeffs"] + draw(_flag("--alpha", ALPHAS))
+            + draw(_flag("--order", ORDERS, _integer)))
 
 
 @st.composite
 def deriv_argv(draw):
     function = draw(st.sampled_from(["t", "const", "t2"] * 3 + ["t3"]))
     return (["deriv", f"--function={function}"] + draw(_flag("--alpha", ALPHAS))
-            + draw(_flag("--order", ORDERS)) + draw(st.one_of(st.just([]), grid_flags())))
+            + draw(_flag("--order", ORDERS, _integer))
+            + draw(st.one_of(st.just([]), grid_flags())))
 
 
 @st.composite
@@ -556,6 +586,42 @@ def scenario_text(draw):
 def simulate_flags(draw):
     return (draw(_optional_flag("--alpha", ALPHAS)) + draw(_optional_flag("--order", ORDERS))
             + draw(st.sampled_from([[], ["--include-aux"]])))
+
+
+# 100 steps of 0.02 days, so that every candidate run of a fit stays small.
+FIT_CONFIG = "t_end = 2\nstep = 0.02\n"
+# Cells beyond BAD_NUMBERS that are not floats.
+BAD_CELLS = ("", "abc", "\x005")
+
+
+@st.composite
+def observed_text(draw):
+    """Observed CSV text on FIT_CONFIG's grid.
+
+    Of every 16 rows, 13 are a valid (time, count), one has a bad cell, one
+    a field over the csv module's 131 072-character limit, and one has one
+    or three fields.
+    """
+    lines = ["t,I_h_obs"]
+    for k in sorted(draw(st.sets(st.integers(1, 100), min_size=2, max_size=8))):
+        row = [repr(k * 0.02), draw(_number(st.floats(1.0, 1e4)))]
+        damage = draw(st.integers(0, 15))
+        if damage == 13:
+            row[1] = draw(st.sampled_from(BAD_CELLS))
+        elif damage == 14:
+            row[1] = "9" * 200_000
+        elif damage == 15:
+            row = draw(st.sampled_from([row[:1], row + ["0"]]))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fit_flags(draw):
+    return (draw(_optional_flag("--alpha-min", ALPHAS))
+            + draw(_optional_flag("--alpha-max", ALPHAS))
+            + draw(_optional_flag("--alpha-step", st.floats(0.001, 0.5)))
+            + draw(_optional_flag("--order", ORDERS, _integer)))
 
 
 def _assert_cli_contract(argv):
@@ -595,6 +661,15 @@ class TestCliContractProperty:
         config.write_text(text, encoding="utf-8")
         _assert_cli_contract(["simulate", "--config", str(config), *flags,
                               "--out", str(tmp_path / "traj.csv")])
+
+    @_PROPERTY_SETTINGS
+    @given(text=observed_text(), flags=fit_flags())
+    def test_fit(self, tmp_path, text, flags):
+        config, data = tmp_path / "scenario.cfg", tmp_path / "obs.csv"
+        config.write_text(FIT_CONFIG, encoding="utf-8")
+        data.write_text(text, encoding="utf-8")
+        _assert_cli_contract(["fit", "--config", str(config), "--data", str(data), *flags,
+                              "--out", str(tmp_path / "curve.csv")])
 
 
 def test_cli_import_does_not_load_fft():

@@ -210,6 +210,13 @@ class TestFitAlpha:
         with pytest.raises(ValueError, match=match):
             fit_alpha(obs, params, y0, n_order, alphas, FIT_GRID)
 
+    @pytest.mark.parametrize("start_offset", [-1.0, math.nan])
+    def test_classical_candidate_rejects_bad_start_offset(self, scenario, start_offset):
+        params, y0 = scenario
+        obs = ObservedSeries(times=[5.0, 10.0], infected=[10.0, 20.0])
+        with pytest.raises(ValueError, match="start_offset must be positive and finite"):
+            fit_alpha(obs, params, y0, 7, [1.0], FIT_GRID, start_offset=start_offset)
+
     def test_failed_classical_candidate_named_in_error(self, scenario):
         # eta_h = 20 on a 1-day step: the classical run leaves the finite
         # range at t = 4 (step 4), and the alpha = 0.95 member fails too.

@@ -122,22 +122,24 @@ class TestArrowKernel:
         # The kernel folds the moments into one product per step and one
         # scalar per stage; textbook RK4 on the flat augmented right-hand
         # side, from moments of a constant trajectory, must agree to roundoff.
+        # Both run a batch of one config, the kernel's input.
         params, y0 = scenario
         system = expand_system(lambda t, y: classical_rhs(t, y, params),
-                               ExpansionConfig(alpha, order_n))
+                               [ExpansionConfig(alpha, order_n)])
         ts = np.array([0.5, 0.6, 0.75, 0.8, 1.3])
-        x = y0.as_array()
-        v = -np.outer(x, ts[0] ** np.arange(1.0, order_n))
-        y = np.concatenate([x, v.ravel()])
+        x = y0.as_array()[None]
+        v = -x[..., None] * ts[0] ** np.arange(1.0, order_n)
+        y = np.concatenate([x, v.reshape(1, -1)], axis=-1)
         for t, h in zip(ts[:-1], np.diff(ts)):
             k1 = system(t, y)
             k2 = system(t + 0.5 * h, y + 0.5 * h * k1)
             k3 = system(t + 0.5 * h, y + 0.5 * h * k2)
             k4 = system(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values = np.empty((len(ts), len(y)))
-        fail_t = np.full((), np.nan)
-        _rk4_arrow(system, ts, x.tolist(), np.ascontiguousarray(v.T), _Columns(values, 0), fail_t)
+        values = np.empty((len(ts),) + y.shape)
+        fail_t = np.full(1, np.nan)
+        _rk4_arrow(system, ts, x, np.ascontiguousarray(v.swapaxes(-1, -2)), _Columns(values, 0),
+                   fail_t)
         assert np.isnan(fail_t)
         np.testing.assert_allclose(values[-1], y, rtol=1e-12, atol=0.0)
 
@@ -292,6 +294,21 @@ class TestSimulateFractional:
             simulate_fractional(params, y0, ExpansionConfig(0.9, 7),
                                 TimeGrid(0.0, 1.0, 0.01), start_offset=0.02)
 
+    @pytest.mark.parametrize("start_offset", [-1.0, 0.0, math.nan, math.inf])
+    def test_classical_bypass_rejects_bad_start_offset(self, scenario, start_offset):
+        params, y0 = scenario
+        with pytest.raises(ValueError, match="start_offset must be positive and finite"):
+            simulate_fractional(params, y0, ExpansionConfig(1.0, 7), TimeGrid(0.0, 1.0, 0.01),
+                                start_offset=start_offset)
+
+    def test_classical_bypass_needs_no_room_before_the_first_node(self, scenario):
+        # The classical field starts at t = 0 and never uses the offset.
+        params, y0 = scenario
+        grid = TimeGrid(0.0, 1.0, 0.01)
+        bypass = simulate_fractional(params, y0, ExpansionConfig(1.0, 7), grid,
+                                     start_offset=0.02)
+        assert np.array_equal(bypass.values, simulate_classical(params, y0, grid).values)
+
 
 class TestSimulateBatch:
     BATCH_GRID = TimeGrid(0.0, 10.0, 0.05)
@@ -346,6 +363,40 @@ class TestSimulateBatch:
             assert isinstance(run, BlowUpError)
             assert (run.time, run.step_index) == (solo_error.value.time,
                                                   solo_error.value.step_index)
+
+    def test_one_member_steps_on_floats(self, scenario, solo, monkeypatch):
+        def no_batch_kernel(*args):
+            raise AssertionError("_rk4_arrow_batch called")
+
+        params, y0 = scenario
+        monkeypatch.setattr(integrate, "_rk4_arrow_batch", no_batch_kernel)
+        run, = simulate_batch(params, y0, [ExpansionConfig(0.95, 7)], self.BATCH_GRID)
+        assert np.array_equal(run.values, solo[0.95])
+
+    def test_two_members_step_on_arrays(self, scenario, monkeypatch):
+        params, y0 = scenario
+        kernel, states = integrate._rk4_arrow_batch, []
+
+        def recorded(system, ts, x, *args):
+            states.append(x.shape)
+            return kernel(system, ts, x, *args)
+
+        monkeypatch.setattr(integrate, "_rk4_arrow_batch", recorded)
+        simulate_batch(params, y0, [ExpansionConfig(a, 7) for a in (0.9, 0.95)],
+                       self.BATCH_GRID)
+        assert states == [(2, 5)]
+
+    @pytest.mark.parametrize("orders, match", [
+        ((), "at least one config"),
+        ((1.0,), r"alpha in \(0, 1\)"),
+        ((0.9, 1.0), r"alpha in \(0, 1\)"),
+    ])
+    def test_rejects_no_config_and_classical_members(self, scenario, orders, match):
+        # No config is the classical field only inside the body; a batch refuses it.
+        params, y0 = scenario
+        with pytest.raises(ValueError, match=match):
+            simulate_batch(params, y0, [ExpansionConfig(a, 7) for a in orders],
+                           self.BATCH_GRID)
 
     def test_rejects_grid_not_starting_at_zero(self, scenario):
         params, y0 = scenario
