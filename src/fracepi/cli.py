@@ -155,7 +155,11 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     s_h0 and s_m0 default to whatever balances the population totals.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = _parse_scenario_text(fh.readlines(), path)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    raw = _parse_scenario_text(lines, path)
     try:
         return _scenario_from_keys(raw)
     except ValueError as exc:
@@ -182,7 +186,8 @@ def _read_csv(path: str, header_error: Callable[[list[str] | None], str | None]
 
     header_error returns the complaint about a wrong header, or None; it
     is consulted before any row is parsed.  Every row must have one float
-    per header column; the ValueError names a bad line as <path>:<line>.
+    per header column; the ValueError names a bad line as <path>:<line>,
+    and a file that is not UTF-8 as <path>.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -198,8 +203,10 @@ def _read_csv(path: str, header_error: Callable[[list[str] | None], str | None]
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 rows.append([float(cell) for cell in row])
-        except UnicodeDecodeError:
-            raise  # decoded in chunks: the reader's line count is not the bad byte's line
+        except UnicodeDecodeError as exc:
+            # Decoded in chunks: neither the reader's line count nor the
+            # decoder's position locates the bad byte in the file.
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except (csv.Error, ValueError) as exc:
             raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
     if not rows:
@@ -374,8 +381,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                      for p in range(2, n + 1)))
     want = np.concatenate([bracket * t ** (alpha - 1) / coeff_a_prime(alpha, n),
                            np.outer(x, [(1 - p) * t ** (p - 2) for p in range(2, n + 1)]).ravel()])
-    system = expand_system(lambda s, y: classical_rhs(s, y, params), ExpansionConfig(alpha, n))
-    got = system(t, np.concatenate([x, v.ravel()]))
+    system = expand_system(lambda s, y: classical_rhs(s, y, params), [ExpansionConfig(alpha, n)])
+    got = system(t, np.concatenate([x, v.ravel()])[None])[0]
     worst = float(np.max(np.abs(got - want) / np.abs(want)))
     record("augmented right-hand side vs defining formula", worst <= 1e-13,
            f"worst rel err {worst:.1e}, alpha = {alpha}, N = {n}")

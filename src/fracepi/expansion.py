@@ -32,12 +32,10 @@ own x, and x' reads x, f and the sum over its moments, so the linear part
 is an arrow (row 0 and column 0 of an N x N matrix) and the system is
 described by 2N time factors K * t ** E (`AugmentedSystem`).  The RK4
 kernel evaluates them for a block of steps with one array power; the
-moment sums of a step then take one matrix product.  `expand_system`
-also takes several orders alpha of one N, stacked along a leading batch
-axis, each member bit for bit as if alone.  alpha = 1 has no expansion:
-the weights contain Gamma(1-alpha) and Gamma(alpha-1) poles there, so the
-weights, the derivative and `expand_system` reject it, and the classical
-bypass lives in `integrate.simulate_fractional`.
+moment sums of a step then take one matrix product.  alpha = 1 has no
+expansion: the weights contain Gamma(1-alpha) and Gamma(alpha-1) poles
+there, so the weights, the derivative and `expand_system` reject it, and
+the classical bypass lives in `integrate.simulate_fractional`.
 """
 
 from __future__ import annotations
@@ -271,10 +269,10 @@ class AugmentedSystem:
     with the scale s = t^(alpha-1) / A', a = -s A t^(-alpha),
     g_p = s C_p t^(1-p-alpha) and r_p = (1-p) t^(p-2).  As an operator on
     (x_k, V_2^k, ..., V_N^k) this is an arrow: only row 0 and column 0 are
-    non-zero, so nothing here is N x N.  exponents and factors
-    (batch + (2N,)) give -A t^(-alpha), the C_p t^(1-p-alpha), the r_p and
-    s as K * t ** E (see `_powers`); rhs is the physical right-hand side,
-    called with states of shape batch + (d,).
+    non-zero, so nothing here is N x N.  exponents and factors, of shape
+    (B, 2N) with one row per member, give -A t^(-alpha), the
+    C_p t^(1-p-alpha), the r_p and s as K * t ** E (see `_powers`); rhs is
+    the physical right-hand side, called with states of shape (B, d).
 
     Calling the system evaluates it on flat states (see `expand_system`).
     """
@@ -287,21 +285,20 @@ class AugmentedSystem:
     def arrow(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The pieces (s, a, g, r) at every entry of times, of shape lead + (k,).
 
-        s and a have shape lead + batch + (k,), g and r (the weights g_p and
-        rates r_p, p = 2 ... N) lead + batch + (k, N-1), all from one array
-        power.  Every member of a batch takes the same elementwise
-        operations, so its pieces equal those of its config alone, bit for
-        bit, and no entry depends on the other times.
+        s and a have shape lead + (B, k), g and r (the weights g_p and
+        rates r_p, p = 2 ... N) lead + (B, k, N-1), all from one array
+        power.  Every member takes the same elementwise operations, so its
+        pieces equal those of its config alone, bit for bit, and no entry
+        depends on the other times.
         """
         n = self.order_n
-        batch = self.factors.ndim - 1
-        t = times.reshape(times.shape[:-1] + (1,) * batch + times.shape[-1:] + (1,))
-        powers = self.factors[..., None, :] * t ** self.exponents[..., None, :]
+        t = times[..., None, :, None]
+        powers = self.factors[:, None, :] * t ** self.exponents[:, None, :]
         s = powers[..., -1]
         return s, powers[..., 0] * s, powers[..., 1:n] * s[..., None], powers[..., n:-1]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        """The right-hand side on flat states y of shape batch + (d * N,).
+        """The right-hand side on flat states y of shape (B, d * N).
 
         The first d entries of a row are the physical states, then, for
         each physical state in order, its moments V_2, ..., V_N; the
@@ -318,12 +315,12 @@ class AugmentedSystem:
 
 
 def expand_system(f: Callable[[float, np.ndarray], np.ndarray],
-                  cfg: ExpansionConfig | Sequence[ExpansionConfig]) -> AugmentedSystem:
+                  cfgs: Sequence[ExpansionConfig]) -> AugmentedSystem:
     """Turn the fractional system D^alpha x = f(t, x) into an ordinary one.
 
-    cfg is one config (batch shape ()) or a sequence of B configs of one
-    order N (batch shape (B,)), one row of the state per config.  For
-    alpha < 1 the physical states obey
+    cfgs is a non-empty sequence of B configs of one order N, one member
+    (row of the state) each; a bare config is not a sequence and raises
+    TypeError.  For alpha < 1 the physical states obey
 
         x_k' = [f_k(t, x) - A t^(-alpha) x_k + sum_p C_p t^(1-p-alpha) V_p^k]
                * t^(alpha-1) / A',
@@ -331,21 +328,17 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray],
     while each moment follows V_p^k' = (1-p) t^(p-2) x_k, all starting from
     V_p^k(0) = 0.  The result is that system in the arrow form of
     `AugmentedSystem`: the RK4 kernel steps its pieces (`arrow`), and
-    calling it evaluates flat states of shape batch + (d * N,).  The arrow
-    form applies the scale s to each weight before the sum, so results
-    differ by about 1e-14 relative from the bracket-then-scale evaluation
-    above.
+    calling it evaluates flat states of shape (B, d * N).  The arrow form
+    applies the scale s to each weight before the sum, so results differ
+    by about 1e-14 relative from the bracket-then-scale evaluation above.
 
     Raises ValueError for alpha = 1, which has no expansion (the classical
-    bypass lives in `integrate.simulate_fractional`), or for configs of
-    different orders, and DegenerateCoefficientError when |A'| is below the
-    safe floor.
+    bypass lives in `integrate.simulate_fractional`), or for no configs or
+    configs of different orders, and DegenerateCoefficientError when |A'|
+    is below the safe floor.
     """
-    cfgs = [cfg] if isinstance(cfg, ExpansionConfig) else list(cfg)
+    cfgs = list(cfgs)
     if not cfgs or any(c.order_n != cfgs[0].order_n for c in cfgs):
         raise ValueError("a batch needs at least one config, all of one order N")
-    n = cfgs[0].order_n
-    shape = () if isinstance(cfg, ExpansionConfig) else (len(cfgs),)
-    exponents, factors = (np.array(a).reshape(shape + (2 * n,))
-                          for a in zip(*map(_powers, cfgs)))
-    return AugmentedSystem(rhs=f, order_n=n, exponents=exponents, factors=factors)
+    exponents, factors = map(np.array, zip(*map(_powers, cfgs)))
+    return AugmentedSystem(rhs=f, order_n=cfgs[0].order_n, exponents=exponents, factors=factors)

@@ -206,8 +206,8 @@ def _rk4(f: Callable[[float, list], Sequence[float]], ts: np.ndarray, x: list,
     x is the state at ts[0] as a list of floats, and f(t, x) returns the
     derivative as a sequence of floats.  out[i] = x stores the state at
     ts[i] for i >= 1.  A state that turns non-finite puts the time it
-    failed to reach into fail_t (NaN while the run goes on) and ends the
-    run.
+    failed to reach into fail_t[0] (fail_t has one entry per member, NaN
+    while the run goes on, as in the arrow kernels) and ends the run.
     """
     tl = ts.tolist()
     isfinite = math.isfinite
@@ -222,7 +222,7 @@ def _rk4(f: Callable[[float, list], Sequence[float]], ts: np.ndarray, x: list,
         h6 = h / 6.0
         x = [xc + h6 * (a + 2.0 * b + 2.0 * c + d) for xc, a, b, c, d in zip(x, k1, k2, k3, k4)]
         if not all(map(isfinite, x)):
-            fail_t[()] = tl[i + 1]
+            fail_t[0] = tl[i + 1]
             return
         out[i + 1] = x
 
@@ -399,7 +399,7 @@ def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
 
 def simulate_classical(params: ModelParams, y0: StateVector, grid: TimeGrid) -> TimeSeries:
     """Integrate the classical model; host and mosquito totals are conserved."""
-    series = _single(params, y0, grid, None, START_OFFSET, False)
+    series = _single(params, y0, grid, (), START_OFFSET, DENGUE_COLUMNS)
     _warn_undershoot(series, params)
     return series
 
@@ -426,7 +426,9 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     alpha = 1 runs the classical field, so that case is identical to
     simulate_classical on the same grid, bit for bit.
     """
-    series = _single(params, y0, grid, cfg, start_offset, keep_aux)
+    columns = DENGUE_COLUMNS + aux_column_names(cfg.order_n) if keep_aux else DENGUE_COLUMNS
+    series = _single(params, y0, grid, () if cfg.alpha == 1.0 else (cfg,), start_offset,
+                     columns)
     _warn_undershoot(series, params)
     return series
 
@@ -438,37 +440,27 @@ def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[Expansio
 
     cfgs is a non-empty sequence of B configs of one order N, each with
     alpha < 1, and only the five physical columns are stored, so the
-    result's memory does not grow with N.  Entry b of the result is what
-    `simulate_fractional` returns for cfgs[b], bit for bit, or the
-    BlowUpError it would raise: a member that blows up is marked at the grid
-    node it failed to reach while the others run on.  One config steps on
-    Python floats, as `simulate_fractional` does, and more on arrays.
+    result's memory does not grow with N.  The result is `_simulate`'s one
+    run per member: entry b is what `simulate_fractional` returns for
+    cfgs[b], bit for bit, or the BlowUpError it would raise, since a member
+    that blows up is marked at the grid node it failed to reach while the
+    others run on.  One config steps on Python floats, as
+    `simulate_fractional` does, and more on arrays.
     """
     if not cfgs:
         raise ValueError("a batch needs at least one config")
-    nodes, values, fail_t = _simulate(params, y0, grid, cfgs, start_offset, 5)
-    runs = [_member(nodes, values[:, b], fail_t[b], DENGUE_COLUMNS) for b in range(len(cfgs))]
+    runs = _simulate(params, y0, grid, cfgs, start_offset, DENGUE_COLUMNS)
     for run in runs:
         if isinstance(run, TimeSeries):
             _warn_undershoot(run, params)
     return runs
 
 
-def _member(nodes: np.ndarray, values: np.ndarray, fail_t: float,
-            columns: tuple[str, ...]) -> TimeSeries | BlowUpError:
-    """One member's series, or the BlowUpError naming the grid node it failed to reach."""
-    if np.isnan(fail_t):
-        return TimeSeries(times=nodes, values=values, columns=columns)
-    return BlowUpError(float(fail_t), int(np.searchsorted(nodes, fail_t)))
-
-
-def _single(params: ModelParams, y0: StateVector, grid: TimeGrid, cfg: ExpansionConfig | None,
-            start_offset: float, keep_aux: bool) -> TimeSeries:
-    """Member 0 of one run; cfg None or alpha = 1 integrates the classical field."""
-    columns = DENGUE_COLUMNS + aux_column_names(cfg.order_n) if keep_aux else DENGUE_COLUMNS
-    cfgs = () if cfg is None or cfg.alpha == 1.0 else (cfg,)
-    nodes, values, fail_t = _simulate(params, y0, grid, cfgs, start_offset, len(columns))
-    run = _member(nodes, values[:, 0], fail_t[0], columns)
+def _single(params: ModelParams, y0: StateVector, grid: TimeGrid,
+            cfgs: Sequence[ExpansionConfig], start_offset: float,
+            columns: tuple[str, ...]) -> TimeSeries:
+    """The run of no config (the classical field) or one; raises its BlowUpError."""
+    (run,) = _simulate(params, y0, grid, cfgs, start_offset, columns)
     if isinstance(run, BlowUpError):
         raise run
     return run
@@ -476,17 +468,17 @@ def _single(params: ModelParams, y0: StateVector, grid: TimeGrid, cfg: Expansion
 
 def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
               cfgs: Sequence[ExpansionConfig], start_offset: float,
-              width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              columns: tuple[str, ...]) -> list[TimeSeries | BlowUpError]:
     """The one simulation body: a run is a sequence of configs, one member each.
 
     No config integrates the classical field, as one member; B configs of
     one order N integrate their augmented system, and the member count
     picks the kernel: Python floats for one (`_rk4_arrow`), (B, 5) arrays
-    for more (`_rk4_arrow_batch`).  Returns the nodes, the first `width`
-    columns of every state, of shape (nodes, members, width) (columns the
-    state does not have stay zero), and the time each member failed to
-    reach, NaN for a member that reached the last node.  A run of more
-    than MAX_ENTRIES entries is refused before anything is built.
+    for more (`_rk4_arrow_batch`).  Returns one entry per member: its
+    series of the given columns (columns the state does not have stay
+    zero), or the BlowUpError naming the grid node it failed to reach.  A
+    run of more than MAX_ENTRIES entries is refused before anything is
+    built.
     """
     check_population_balance(params, y0)
     if start_offset <= 0 or not math.isfinite(start_offset):
@@ -496,7 +488,7 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
         return classical_rhs(t, y, params)
 
     nodes = grid.nodes()
-    members = max(len(cfgs), 1)
+    members, width = max(len(cfgs), 1), len(columns)
     expansion = sum(16 * c.order_n + 26 * (c.order_n - 1) for c in cfgs)  # see MAX_ENTRIES
     if len(nodes) * members * width + expansion > MAX_ENTRIES:
         raise ValueError(f"a result of {len(nodes)} nodes x {members} runs x {width} columns "
@@ -507,17 +499,20 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     if not cfgs:
         # keep_aux of the classical bypass: the auxiliary columns stay zero.
         _rk4(f, nodes, y0.as_array().tolist(), values[:, 0, :5], fail_t)
-        return nodes, values, fail_t
-    system = expand_system(f, cfgs)
-    if start_offset >= nodes[1]:
-        raise ValueError(
-            f"start_offset = {start_offset!r} does not leave room before the "
-            f"first grid node at t = {float(nodes[1])!r}"
-        )
-    ramp = [start_offset]  # geometric sub-steps up to the first node
-    while ramp[-1] * RAMP_FACTOR < nodes[1]:
-        ramp.append(ramp[-1] * RAMP_FACTOR)
-    step = _rk4_arrow if members == 1 else _rk4_arrow_batch
-    step(system, np.concatenate([ramp, nodes[1:]]), np.tile(y0.as_array(), (members, 1)),
-         np.zeros((members, system.order_n - 1, 5)), _Columns(values, len(ramp) - 1), fail_t)
-    return nodes, values, fail_t
+    else:
+        system = expand_system(f, cfgs)
+        if start_offset >= nodes[1]:
+            raise ValueError(
+                f"start_offset = {start_offset!r} does not leave room before the "
+                f"first grid node at t = {float(nodes[1])!r}"
+            )
+        ramp = [start_offset]  # geometric sub-steps up to the first node
+        while ramp[-1] * RAMP_FACTOR < nodes[1]:
+            ramp.append(ramp[-1] * RAMP_FACTOR)
+        step = _rk4_arrow if members == 1 else _rk4_arrow_batch
+        step(system, np.concatenate([ramp, nodes[1:]]), np.tile(y0.as_array(), (members, 1)),
+             np.zeros((members, system.order_n - 1, 5)), _Columns(values, len(ramp) - 1),
+             fail_t)
+    return [TimeSeries(times=nodes, values=values[:, b], columns=columns) if math.isnan(t)
+            else BlowUpError(t, int(np.searchsorted(nodes, t)))
+            for b, t in enumerate(fail_t.tolist())]

@@ -384,6 +384,24 @@ class TestCommands:
         assert err.startswith(f"error: validation: {data}:3: {reason}")
         assert len(err.splitlines()) == 1
 
+    def test_fit_observed_csv_not_utf8_exits_1_naming_the_file(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        data.write_bytes(b"t,I_h_obs\n5,216\n10,2\xff0\n")
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: {data}: not UTF-8 text (")
+        assert len(err.splitlines()) == 1
+
+    def test_simulate_config_not_utf8_exits_1_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "s.cfg"
+        config.write_bytes(b"t_end = 1\nstep = 0.\xff1\n")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: {config}: not UTF-8 text (")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_fit_skips_blank_line_in_observed_csv(self, tmp_path, obs_csv):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("t_end = 30\nstep = 0.05\n")
@@ -624,6 +642,20 @@ def fit_flags(draw):
             + draw(_optional_flag("--order", ORDERS, _integer)))
 
 
+@st.composite
+def file_bytes(draw, text):
+    """A file of text drawn from the strategy, as UTF-8 bytes.
+
+    One file in 16 has a 0xff byte, which UTF-8 never contains, inserted
+    at a drawn position, so that it is not UTF-8 text.
+    """
+    data = draw(text).encode("utf-8")
+    if draw(st.integers(0, 15)) == 15:
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
 def _assert_cli_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -655,19 +687,19 @@ class TestCliContractProperty:
         _assert_cli_contract(argv)
 
     @_PROPERTY_SETTINGS
-    @given(text=scenario_text(), flags=simulate_flags())
-    def test_simulate(self, tmp_path, text, flags):
+    @given(content=file_bytes(scenario_text()), flags=simulate_flags())
+    def test_simulate(self, tmp_path, content, flags):
         config = tmp_path / "scenario.cfg"
-        config.write_text(text, encoding="utf-8")
+        config.write_bytes(content)
         _assert_cli_contract(["simulate", "--config", str(config), *flags,
                               "--out", str(tmp_path / "traj.csv")])
 
     @_PROPERTY_SETTINGS
-    @given(text=observed_text(), flags=fit_flags())
-    def test_fit(self, tmp_path, text, flags):
+    @given(content=file_bytes(observed_text()), flags=fit_flags())
+    def test_fit(self, tmp_path, content, flags):
         config, data = tmp_path / "scenario.cfg", tmp_path / "obs.csv"
         config.write_text(FIT_CONFIG, encoding="utf-8")
-        data.write_text(text, encoding="utf-8")
+        data.write_bytes(content)
         _assert_cli_contract(["fit", "--config", str(config), "--data", str(data), *flags,
                               "--out", str(tmp_path / "curve.csv")])
 

@@ -279,19 +279,19 @@ class TestExpandSystem:
         def f(t, x):
             return -x
 
-        field = expand_system(f, ExpansionConfig(alpha=0.6, order_n=order_n))
-        out = field(1.0, np.ones(dim * order_n))
-        assert out.shape == (dim * order_n,)
+        field = expand_system(f, [ExpansionConfig(alpha=0.6, order_n=order_n)])
+        out = field(1.0, np.ones((1, dim * order_n)))
+        assert out.shape == (1, dim * order_n)
         assert np.all(np.isfinite(out))
 
     def test_five_state_order_seven_gives_35(self):
-        field = expand_system(lambda t, x: -x, ExpansionConfig(alpha=0.9, order_n=7))
-        assert field(1.0, np.ones(35)).shape == (35,)
+        field = expand_system(lambda t, x: -x, [ExpansionConfig(alpha=0.9, order_n=7)])
+        assert field(1.0, np.ones((1, 35))).shape == (1, 35)
 
     def test_rejects_classical_alpha(self):
         # alpha = 1 has no expansion; the classical bypass lives in simulate_fractional.
         with pytest.raises(ValueError, match=r"alpha in \(0, 1\)"):
-            expand_system(lambda t, x: -x, ExpansionConfig(alpha=1.0, order_n=4))
+            expand_system(lambda t, x: -x, [ExpansionConfig(alpha=1.0, order_n=4)])
 
     def test_rhs_matches_hand_assembled_formula(self):
         # One-state system checked against the defining formula assembled
@@ -302,7 +302,7 @@ class TestExpandSystem:
         def f(t, x):
             return np.array([0.25 * x[0] + t])
 
-        field = expand_system(f, cfg)
+        field = expand_system(f, [cfg])
         t, x, v2, v3 = 2.0, 1.7, 0.3, -0.2
         a = coeff_a(alpha, n)
         ap = coeff_a_prime(alpha, n)
@@ -310,7 +310,7 @@ class TestExpandSystem:
                    + coeff_c(alpha, 2) * t ** (1.0 - 2 - alpha) * v2
                    + coeff_c(alpha, 3) * t ** (1.0 - 3 - alpha) * v3)
         expected_dx = bracket * t ** (alpha - 1.0) / ap
-        out = field(t, np.array([x, v2, v3]))
+        out = field(t, np.array([[x, v2, v3]]))[0]
         assert out[0] == pytest.approx(expected_dx, rel=1e-13)
         assert out[1] == pytest.approx((1.0 - 2) * t ** 0 * x, rel=1e-13)
         assert out[2] == pytest.approx((1.0 - 3) * t ** 1 * x, rel=1e-13)
@@ -327,13 +327,18 @@ class TestExpandSystem:
             out = batched(t, y)
             assert out.shape == (3, 12)
             for cfg, row, got in zip(cfgs, y, out):
-                assert np.array_equal(got, expand_system(f, cfg)(t, row))
+                assert np.array_equal(got, expand_system(f, [cfg])(t, row[None])[0])
 
     @pytest.mark.parametrize("orders", [[], [7, 8]])
     def test_batch_rejects_empty_or_mixed_orders(self, orders):
         with pytest.raises(ValueError, match="one order"):
             expand_system(lambda t, x: -x, [ExpansionConfig(0.9, n) for n in orders])
 
+    def test_rejects_a_bare_config(self):
+        # A single run is a list of one config; a bare config is not a sequence.
+        with pytest.raises(TypeError):
+            expand_system(lambda t, x: -x, ExpansionConfig(alpha=0.9, order_n=7))
+
     def test_degenerate_coefficients_propagate(self):
         with pytest.raises(DegenerateCoefficientError):
-            expand_system(lambda t, x: -x, ExpansionConfig(alpha=1e-8, order_n=7))
+            expand_system(lambda t, x: -x, [ExpansionConfig(alpha=1e-8, order_n=7)])

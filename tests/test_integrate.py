@@ -23,10 +23,11 @@ def _rk4_values(f, y0, grid):
     ts = grid.nodes()
     values = np.empty((len(ts), len(y0)))
     values[0] = y0
-    fail_t = np.full((), np.nan)
+    fail_t = np.full(1, np.nan)
     _rk4(lambda t, y: f(t, np.array(y)).tolist(), ts, y0.tolist(), values, fail_t)
-    if not np.isnan(fail_t):
-        raise BlowUpError(time=float(fail_t), step_index=int(np.searchsorted(ts, fail_t)))
+    if not np.isnan(fail_t[0]):
+        t = float(fail_t[0])
+        raise BlowUpError(time=t, step_index=int(np.searchsorted(ts, t)))
     return values
 
 
