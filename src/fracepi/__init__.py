@@ -14,7 +14,7 @@ Main entry points:
     default_scenario()       the baseline dengue outbreak setup
     simulate_classical(...)  integer-order run
     simulate_fractional(...) fractional-order run via the expansion
-    simulate_batch(...)      several orders through the expansion at once
+    simulate_batch(...)      several orders at once, alpha = 1 included
     gl_simulate(...)         fractional-order run via backward differences
     fit_alpha(...)           exhaustive search for the best order
 """

@@ -154,7 +154,7 @@ def load_scenario_config(path: str) -> ScenarioConfig:
     N = 7, 100 days at 0.01-day steps).  n_m defaults to m_ratio * n_h;
     s_h0 and s_m0 default to whatever balances the population totals.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
@@ -187,9 +187,9 @@ def _read_csv(path: str, header_error: Callable[[list[str] | None], str | None]
     header_error returns the complaint about a wrong header, or None; it
     is consulted before any row is parsed.  Every row must have one float
     per header column; the ValueError names a bad line as <path>:<line>,
-    and a file that is not UTF-8 as <path>.
+    and a file that is not UTF-8 (after one optional leading BOM) as <path>.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = []
         try:
@@ -393,13 +393,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     record("classical bypass is bit-identical",
            bool(np.array_equal(classical.values, bypass.values)), "alpha = 1 path")
 
-    pair = [ExpansionConfig(0.9, 7), ExpansionConfig(0.95, 7)]
-    batch = simulate_batch(params, initial, pair, short)
+    trio = [ExpansionConfig(alpha, 7) for alpha in (0.9, 0.95, 1.0)]
+    batch = simulate_batch(params, initial, trio, short)
     same = all(isinstance(run, TimeSeries) and np.array_equal(
         run.values, simulate_fractional(params, initial, cfg, short).values)
-        for cfg, run in zip(pair, batch))
+        for cfg, run in zip(trio, batch))
     record("batch members equal their solo runs", same,
-           "alpha = 0.9 and 0.95, N = 7, bit for bit")
+           "alpha = 0.9, 0.95 and 1.0, N = 7, bit for bit")
 
     # 3200 steps: more than three history blocks, so the FFT far field runs.
     gl_grid = TimeGrid(t_start=0.0, t_end=160.0, step=0.05)

@@ -11,8 +11,8 @@ is negligible against daily data).  The order is fitted by exhaustive grid
 search: the model is highly sensitive to alpha, so the full error curve is
 worth more than a local optimizer, and the curve itself is part of the
 result.  Runs that blow up score +inf but stay visible in the curve,
-flagged as failed.  The candidates with alpha < 1 are stepped together as
-one batch (`integrate.simulate_batch`), each bit for bit as if run alone.
+flagged as failed.  All candidates run in one `integrate.simulate_batch`
+call (alpha = 1 as the classical run), each bit for bit as if run alone.
 """
 
 from __future__ import annotations
@@ -126,9 +126,9 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
     """Exhaustive search for the order that best matches the observations.
 
     alpha_grid must be sorted ascending with every value in (0, 1];
-    alpha = 1 entries run the exact classical model.  Candidates whose
-    simulation blows up receive error +inf and a "failed" status but stay
-    in the curve for diagnosis.
+    alpha = 1 entries run the exact classical model, in the one
+    `simulate_batch` call of all candidates.  Candidates that blow up
+    receive error +inf and a "failed" status but stay in the curve.
 
     Raises ValueError, before any run, if an observation time lies outside
     the grid, and FitFailedError if no candidate survives.
@@ -145,17 +145,8 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
     # The times are increasing, so the first and the last bound the span.
     _check_on_grid(obs.times[[0, -1]], grid)
 
-    # The alpha < 1 candidates run as one batch; alpha = 1 (at most one, the
-    # last) takes the classical bypass.
     cfgs = [ExpansionConfig(alpha=alpha, order_n=n_order) for alpha in alphas]
-    fractional = [cfg for cfg in cfgs if cfg.alpha < 1.0]
-    runs = (simulate_batch(params, y0, fractional, grid, start_offset=start_offset)
-            if fractional else [])
-    for cfg in cfgs[len(fractional):]:
-        try:
-            runs.append(simulate_fractional(params, y0, cfg, grid, start_offset=start_offset))
-        except BlowUpError as exc:
-            runs.append(exc)
+    runs = simulate_batch(params, y0, cfgs, grid, start_offset=start_offset)
     curve = []
     for alpha, run in zip(alphas, runs):
         if isinstance(run, BlowUpError):

@@ -15,8 +15,8 @@ demand steps proportional to t, and a full-size first step would destroy
 the run.
 
 Every run is a list of configs, one member each: a single run is a list
-of one (of none for the classical field), and `simulate_batch` steps B
-orders of one N together, storing only the five physical columns.  The
+of one (of none for the classical field), and `simulate_batch` steps its
+alpha < 1 orders of one N together, storing the physical columns.  The
 augmented system is an arrow (see `expansion.AugmentedSystem`): each
 moment V_p reads only its compartment x, and x reads the sum of its
 moments.  So the fractional kernels keep x (B, 5) apart from the moments
@@ -420,8 +420,8 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     graded sub-steps (see the module docstring).  The returned series
     reports the physical compartments on the requested grid, with the first
     node holding the initial state; keep_aux=True appends the auxiliary
-    trajectories as extra columns.  For alpha < 1 this is `simulate_batch`
-    of one config: the same body, block loop and float kernel.
+    trajectories as extra columns.  This is `simulate_batch` of one
+    config: the same body, block loop and float kernel.
 
     alpha = 1 runs the classical field, so that case is identical to
     simulate_classical on the same grid, bit for bit.
@@ -436,20 +436,25 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
 def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[ExpansionConfig],
                    grid: TimeGrid, *, start_offset: float = START_OFFSET,
                    ) -> list[TimeSeries | BlowUpError]:
-    """Integrate the fractional model for several orders at once, one kernel for all.
+    """Integrate the model for several orders at once, one kernel for the fractional ones.
 
-    cfgs is a non-empty sequence of B configs of one order N, each with
-    alpha < 1, and only the five physical columns are stored, so the
-    result's memory does not grow with N.  The result is `_simulate`'s one
-    run per member: entry b is what `simulate_fractional` returns for
-    cfgs[b], bit for bit, or the BlowUpError it would raise, since a member
-    that blows up is marked at the grid node it failed to reach while the
-    others run on.  One config steps on Python floats, as
-    `simulate_fractional` does, and more on arrays.
+    cfgs is a non-empty sequence of configs with alpha in (0, 1], those
+    with alpha < 1 of one order N, and only the five physical columns are
+    stored.  Entry b is what `simulate_fractional` returns for cfgs[b],
+    bit for bit, or the BlowUpError it would raise: a member that blows up
+    is marked while the others run on.  The alpha < 1 configs step in one
+    `_simulate` run (on floats for one, on arrays for more), and the
+    alpha = 1 ones share one classical run.  Each run checks MAX_ENTRIES
+    for itself; the classical one holds at most 5 % of it (5 x MAX_NODES).
     """
     if not cfgs:
         raise ValueError("a batch needs at least one config")
-    runs = _simulate(params, y0, grid, cfgs, start_offset, DENGUE_COLUMNS)
+    fractional = [cfg for cfg in cfgs if cfg.alpha != 1.0]
+    stepped = iter(_simulate(params, y0, grid, fractional, start_offset, DENGUE_COLUMNS)
+                   if fractional else ())
+    if len(fractional) < len(cfgs):
+        classical, = _simulate(params, y0, grid, (), start_offset, DENGUE_COLUMNS)
+    runs = [classical if cfg.alpha == 1.0 else next(stepped) for cfg in cfgs]
     for run in runs:
         if isinstance(run, TimeSeries):
             _warn_undershoot(run, params)

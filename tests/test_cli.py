@@ -402,6 +402,30 @@ class TestCommands:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_fit_observed_csv_with_bom_reads_as_without(self, tmp_path, capsys, obs_csv):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("t_end = 30\nstep = 0.05\n")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + obs_csv.read_bytes())
+        out, outputs = tmp_path / "curve.csv", []
+        for data in (obs_csv, bom):
+            assert main(["fit", "--config", str(cfg), "--data", str(data),
+                         "--alpha-min", "0.94", "--alpha-max", "1.0",
+                         "--alpha-step", "0.02", "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_simulate_config_with_bom_reads_as_without(self, tmp_path, capsys):
+        text = b"alpha = 0.95\nt_end = 2\nstep = 0.02\n"
+        out, outputs = tmp_path / "traj.csv", []
+        for name, content in (("plain.cfg", text), ("bom.cfg", b"\xef\xbb\xbf" + text)):
+            config = tmp_path / name
+            config.write_bytes(content)
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_fit_skips_blank_line_in_observed_csv(self, tmp_path, obs_csv):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("t_end = 30\nstep = 0.05\n")
@@ -669,7 +693,7 @@ def _assert_cli_contract(argv):
         assert len(errors) == 1 and errors[0].startswith(f"error: {kind}: "), stderr
 
 
-_PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None,
+_PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True,
                               suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

@@ -8,7 +8,8 @@ from fracepi.fitting import (CurvePoint, FitFailedError, ObservedSeries,
                              _best_point, fit_alpha, generate_synthetic,
                              percentage_error)
 from fracepi.expansion import ExpansionConfig
-from fracepi.integrate import TimeGrid, TimeSeries, simulate_classical, simulate_fractional
+from fracepi.integrate import (TimeGrid, TimeSeries, simulate_batch, simulate_classical,
+                               simulate_fractional)
 
 FIT_GRID = TimeGrid(t_start=0.0, t_end=30.0, step=0.05)
 SAMPLE_TIMES = np.arange(5.0, 30.1, 5.0)
@@ -166,15 +167,24 @@ class TestFitAlpha:
         assert by_alpha[0.98].status == "ok"
         assert result.best_alpha == 0.98
 
-    def test_curve_equals_solo_runs_exactly(self, scenario):
-        # The alpha < 1 candidates run as one batch, alpha = 1 on the bypass;
-        # each point must equal a run of its own order scored alone.
+    def test_curve_equals_solo_runs_exactly(self, scenario, monkeypatch):
+        # Every candidate, alpha = 1 included, runs in one batch call; each
+        # point must equal a run of its own order scored alone.
         params, y0 = scenario
         obs = generate_synthetic(params, y0, alpha_star=0.95, n_order=7,
                                  sample_times=SAMPLE_TIMES, noise_pct=0.0,
                                  seed=4, grid=FIT_GRID)
         alphas = [0.93, 0.94, 0.95, 0.96, 0.97, 1.0]
+        batches = []
+
+        def recorded(params, y0, cfgs, *args, **kwargs):
+            batches.append([cfg.alpha for cfg in cfgs])
+            return simulate_batch(params, y0, cfgs, *args, **kwargs)
+
+        monkeypatch.setattr("fracepi.fitting.simulate_batch", recorded)
+        monkeypatch.setattr("fracepi.fitting.simulate_fractional", None)
         result = fit_alpha(obs, params, y0, 7, alphas, FIT_GRID)
+        assert batches == [alphas]
         expected = [CurvePoint(alpha, percentage_error(simulate_fractional(
             params, y0, ExpansionConfig(alpha, 7), FIT_GRID), obs), "ok") for alpha in alphas]
         assert list(result.error_curve) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -387,17 +388,49 @@ class TestSimulateBatch:
                        self.BATCH_GRID)
         assert states == [(2, 5)]
 
-    @pytest.mark.parametrize("orders, match", [
-        ((), "at least one config"),
-        ((1.0,), r"alpha in \(0, 1\)"),
-        ((0.9, 1.0), r"alpha in \(0, 1\)"),
-    ])
-    def test_rejects_no_config_and_classical_members(self, scenario, orders, match):
+    def test_rejects_no_config(self, scenario):
         # No config is the classical field only inside the body; a batch refuses it.
         params, y0 = scenario
-        with pytest.raises(ValueError, match=match):
-            simulate_batch(params, y0, [ExpansionConfig(a, 7) for a in orders],
-                           self.BATCH_GRID)
+        with pytest.raises(ValueError, match="at least one config"):
+            simulate_batch(params, y0, [], self.BATCH_GRID)
+
+    @pytest.mark.parametrize("orders", [(1.0,), (0.9, 1.0), (1.0, 0.9, 1.0, 0.95)])
+    def test_classical_members_equal_solo_runs_bitwise(self, scenario, solo, orders):
+        # alpha = 1 first, in the middle, last and repeated among the fractional members.
+        params, y0 = scenario
+        classical = simulate_fractional(params, y0, ExpansionConfig(1.0, 7), self.BATCH_GRID)
+        runs = simulate_batch(params, y0, [ExpansionConfig(a, 7) for a in orders],
+                              self.BATCH_GRID)
+        assert len(runs) == len(orders)
+        for alpha, run in zip(orders, runs):
+            assert run.columns == classical.columns
+            assert np.array_equal(run.times, self.BATCH_GRID.nodes())
+            assert np.array_equal(run.values,
+                                  classical.values if alpha == 1.0 else solo[alpha])
+
+    @pytest.mark.parametrize("start_offset", [math.nan, -1.0])
+    def test_classical_members_refuse_a_bad_start_offset(self, scenario, start_offset):
+        params, y0 = scenario
+        with pytest.raises(ValueError, match="start_offset must be positive and finite"):
+            simulate_batch(params, y0, [ExpansionConfig(1.0, 7)] * 2, self.BATCH_GRID,
+                           start_offset=start_offset)
+
+    def test_blown_up_classical_member_is_marked_and_the_others_keep_their_bits(self, scenario):
+        # eta_h = 20 on 1-day steps: the classical run fails at day 4, the
+        # fractional ones only at day 6, after this grid ends.
+        params, y0 = scenario
+        params = dataclasses.replace(params, eta_h=20.0)
+        grid = TimeGrid(0.0, 5.0, 1.0)
+        with pytest.raises(BlowUpError) as solo_error:
+            simulate_fractional(params, y0, ExpansionConfig(1.0, 7), grid)
+        orders = (0.9, 1.0, 0.95)
+        runs = simulate_batch(params, y0, [ExpansionConfig(a, 7) for a in orders], grid)
+        assert isinstance(runs[1], BlowUpError)
+        assert (runs[1].time, runs[1].step_index) == (solo_error.value.time,
+                                                      solo_error.value.step_index) == (4.0, 4)
+        for k in (0, 2):
+            solo = simulate_fractional(params, y0, ExpansionConfig(orders[k], 7), grid)
+            assert np.array_equal(runs[k].values, solo.values)
 
     def test_rejects_grid_not_starting_at_zero(self, scenario):
         params, y0 = scenario
