@@ -69,38 +69,29 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully validated simulation setup."""
+    """A fully validated simulation setup.
+
+    The model and its initial state, whose compartments sum to the
+    params' population totals; the run's expansion order and grid; and
+    the fractional start offset.
+    """
 
     params: ModelParams
     initial: StateVector
-    alpha: float
-    order_n: int
-    t_end: float
-    step: float
+    expansion: ExpansionConfig
+    grid: TimeGrid
     epsilon: float
 
     def __post_init__(self) -> None:
-        self.expansion_config()
-        self.time_grid()
         if self.epsilon <= 0 or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         check_population_balance(self.params, self.initial)
 
-    def expansion_config(self) -> ExpansionConfig:
-        return ExpansionConfig(alpha=self.alpha, order_n=self.order_n)
 
-    def time_grid(self) -> TimeGrid:
-        return TimeGrid(t_start=0.0, t_end=self.t_end, step=self.step)
-
-
-_MODEL_KEYS = ("n_h", "n_m", "m_ratio", "bite_rate", "beta_mh", "beta_hm",
-               "mu_h", "mu_m", "eta_h")
+_MODEL_KEYS = ("n_h", "n_m", "bite_rate", "beta_mh", "beta_hm", "mu_h", "mu_m", "eta_h")
 _STATE_KEYS = ("s_h0", "i_h0", "r_h0", "s_m0", "i_m0")
 _RUN_KEYS = ("alpha", "order_n", "t_end", "step", "epsilon")
-_CONFIG_KEYS = _MODEL_KEYS + _STATE_KEYS + _RUN_KEYS
-
-_RUN_DEFAULTS = {"alpha": 1.0, "order_n": 7, "t_end": 100.0, "step": 0.01,
-                 "epsilon": START_OFFSET}
+_CONFIG_KEYS = _MODEL_KEYS + ("m_ratio",) + _STATE_KEYS + _RUN_KEYS
 
 
 def _parse_scenario_text(lines: Sequence[str], source: str) -> dict[str, float]:
@@ -130,29 +121,39 @@ def _parse_scenario_text(lines: Sequence[str], source: str) -> dict[str, float]:
 def _scenario_from_keys(raw: dict[str, float]) -> ScenarioConfig:
     """Fill the keys missing from raw from the default outbreak scenario.
 
-    n_m defaults to m_ratio * n_h; s_h0 and s_m0 default to whatever
-    balances the population totals.
+    m_ratio, mosquitoes per host, is read only to derive n_m = m_ratio * n_h
+    when n_m is absent; it defaults to the default scenario's n_m / n_h.
+    When both are given they must agree.  s_h0 and s_m0 default to
+    whatever balances the population totals.
     """
     base_params, base_initial = default_scenario()
     model = {key: raw.get(key, getattr(base_params, key)) for key in _MODEL_KEYS}
-    if "n_m" not in raw and ("n_h" in raw or "m_ratio" in raw):
-        model["n_m"] = model["m_ratio"] * model["n_h"]
+    m_ratio = raw.get("m_ratio", base_params.n_m / base_params.n_h)
+    if not (math.isfinite(m_ratio) and m_ratio > 0):
+        raise ValueError(f"m_ratio must be positive and finite, got {m_ratio!r}")
+    model["n_m"] = raw.get("n_m", m_ratio * model["n_h"])
     i_h = raw.get("i_h0", base_initial.i_h)
     r_h = raw.get("r_h0", base_initial.r_h)
     i_m = raw.get("i_m0", base_initial.i_m)
     params = ModelParams(**model)
+    if "m_ratio" in raw and abs(params.n_m - m_ratio * params.n_h) > 1e-9 * params.n_m:
+        raise ValueError(f"n_m = {params.n_m!r} does not equal m_ratio * n_h = "
+                         f"{m_ratio * params.n_h!r}")
     initial = StateVector(s_h=raw.get("s_h0", model["n_h"] - i_h - r_h), i_h=i_h, r_h=r_h,
                           s_m=raw.get("s_m0", model["n_m"] - i_m), i_m=i_m)
-    run = {key: raw.get(key, default) for key, default in _RUN_DEFAULTS.items()}
-    return ScenarioConfig(params=params, initial=initial, **run)
+    expansion = ExpansionConfig(alpha=raw.get("alpha", 1.0), order_n=raw.get("order_n", 7))
+    grid = TimeGrid(t_start=0.0, t_end=raw.get("t_end", 100.0), step=raw.get("step", 0.01))
+    return ScenarioConfig(params=params, initial=initial, expansion=expansion, grid=grid,
+                          epsilon=raw.get("epsilon", START_OFFSET))
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
     """Parse and validate a key=value scenario file.
 
     Missing keys fall back to the default outbreak scenario (alpha = 1,
-    N = 7, 100 days at 0.01-day steps).  n_m defaults to m_ratio * n_h;
-    s_h0 and s_m0 default to whatever balances the population totals.
+    N = 7, 100 days at 0.01-day steps).  n_m may be given alone; without
+    it, n_m = m_ratio * n_h.  s_h0 and s_m0 default to whatever balances
+    the population totals.
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
@@ -285,19 +286,19 @@ def _load_run_setup(args: argparse.Namespace) -> ScenarioConfig:
         overrides["alpha"] = args.alpha
     if args.order is not None:
         overrides["order_n"] = args.order
-    return dataclasses.replace(scenario, **overrides)
+    return dataclasses.replace(
+        scenario, expansion=dataclasses.replace(scenario.expansion, **overrides))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_run_setup(args)
-    series = simulate_fractional(scenario.params, scenario.initial,
-                                 scenario.expansion_config(), scenario.time_grid(),
-                                 start_offset=scenario.epsilon,
-                                 keep_aux=args.include_aux)
+    cfg = scenario.expansion
+    series = simulate_fractional(scenario.params, scenario.initial, cfg, scenario.grid,
+                                 start_offset=scenario.epsilon, keep_aux=args.include_aux)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         write_trajectory_csv(fh, series)
     print(f"wrote {args.out}: {len(series.times)} rows, "
-          f"alpha {scenario.alpha:g}, order {scenario.order_n}")
+          f"alpha {cfg.alpha:g}, order {cfg.order_n}")
     return 0
 
 
@@ -323,8 +324,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     scenario = _load_run_setup(args)
     obs = read_observed_csv(args.data)
     alphas = _alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step)
-    result = fit_alpha(obs, scenario.params, scenario.initial, scenario.order_n,
-                       alphas, scenario.time_grid(), start_offset=scenario.epsilon)
+    result = fit_alpha(obs, scenario.params, scenario.initial, scenario.expansion.order_n,
+                       alphas, scenario.grid, start_offset=scenario.epsilon)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         write_error_curve_csv(fh, result)
     print(f"best_alpha {result.best_alpha:.3f}")

@@ -12,8 +12,8 @@ both directions:
     I_m' = B beta_hm (I_h / N_h) S_m - mu_m I_m
 
 The default parameter set describes a dengue outbreak on the scale of the
-2009 Cape Verde epidemic: 56 000 hosts, three mosquitoes per host, and an
-index cluster of 216 infected people.
+2009 Cape Verde epidemic: 56 000 hosts, 168 000 mosquitoes (three per
+host), and an index cluster of 216 infected people.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ class ModelParams:
     """Epidemiological constants of the host-vector model.
 
     Rates are per day; beta_mh and beta_hm are per-bite transmission
-    probabilities.  n_m must equal m_ratio * n_h.
+    probabilities.  n_h and n_m are the two population totals; their ratio
+    is the number of mosquitoes per host.
     """
 
     n_h: float          # host population
     n_m: float          # mosquito population
-    m_ratio: float      # mosquitoes per host
     bite_rate: float    # B, bites per day
     beta_mh: float      # mosquito -> human transmission probability per bite
     beta_hm: float      # human -> mosquito transmission probability per bite
@@ -53,7 +53,7 @@ class ModelParams:
     eta_h: float        # human recovery rate
 
     def __post_init__(self) -> None:
-        for name in ("n_h", "n_m", "m_ratio", "bite_rate", "beta_mh", "beta_hm",
+        for name in ("n_h", "n_m", "bite_rate", "beta_mh", "beta_hm",
                      "mu_h", "mu_m", "eta_h"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -61,11 +61,6 @@ class ModelParams:
         for name in ("beta_mh", "beta_hm"):
             if getattr(self, name) > 1.0:
                 raise ValueError(f"{name} is a probability and must be <= 1")
-        if abs(self.n_m - self.m_ratio * self.n_h) > 1e-9 * self.n_m:
-            raise ValueError(
-                f"n_m = {self.n_m!r} does not equal m_ratio * n_h = "
-                f"{self.m_ratio * self.n_h!r}"
-            )
 
     @cached_property
     def _rates(self) -> tuple[float, ...]:
@@ -191,11 +186,9 @@ def default_scenario() -> tuple[ModelParams, StateVector]:
     probability per bite in both directions.
     """
     n_h = 56000.0
-    m_ratio = 3.0
     params = ModelParams(
         n_h=n_h,
-        n_m=m_ratio * n_h,
-        m_ratio=m_ratio,
+        n_m=3.0 * n_h,
         bite_rate=0.7,
         beta_mh=0.36,
         beta_hm=0.36,

@@ -14,6 +14,7 @@ import fracepi
 from fracepi.cli import (ConfigError, load_scenario_config, main,
                          read_observed_csv, read_trajectory_csv, write_error_curve_csv,
                          write_observed_csv, write_trajectory_csv)
+from fracepi.expansion import ExpansionConfig
 from fracepi.fitting import CurvePoint, FitResult, ObservedSeries, generate_synthetic
 from fracepi.integrate import TimeGrid, TimeSeries
 
@@ -39,10 +40,8 @@ class TestScenarioConfig:
         cfg = load_scenario_config(str(path))
         assert cfg.params == params
         assert cfg.initial == y0
-        assert cfg.alpha == 1.0
-        assert cfg.order_n == 7
-        assert cfg.t_end == 100.0
-        assert cfg.step == 0.01
+        assert cfg.expansion == ExpansionConfig(alpha=1.0, order_n=7)
+        assert cfg.grid == TimeGrid(0.0, 100.0, 0.01)
         assert cfg.epsilon == 1e-6
 
     def test_alpha_override_keeps_defaults(self, tmp_path, scenario):
@@ -50,14 +49,14 @@ class TestScenarioConfig:
         path = tmp_path / "alpha.cfg"
         path.write_text("alpha = 0.987\n")
         cfg = load_scenario_config(str(path))
-        assert cfg.alpha == 0.987
+        assert cfg.expansion.alpha == 0.987
         assert cfg.params == params
         assert cfg.initial == y0
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\nalpha = 0.95  # trailing comment\n")
-        assert load_scenario_config(str(path)).alpha == 0.95
+        assert load_scenario_config(str(path)).expansion.alpha == 0.95
 
     def test_alpha_out_of_bounds_names_the_constraint(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -90,6 +89,39 @@ class TestScenarioConfig:
         assert cfg.params.n_m == 2000.0
         assert cfg.initial.s_h == 990.0
         assert cfg.initial.s_m == 2000.0
+
+    def test_mosquito_total_alone_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "n_m.cfg"
+        path.write_text("n_m = 200000\n")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 0
+        assert load_scenario_config(str(path)).initial.s_m == 200000.0
+
+    def test_mosquito_total_and_ratio_give_the_same_run(self, tmp_path):
+        outputs = []
+        for mosquitoes in ("n_m = 2000", "m_ratio = 2", "n_m = 2000\nm_ratio = 2"):
+            path, out = tmp_path / "s.cfg", tmp_path / "traj.csv"
+            path.write_text(f"n_h = 1000\n{mosquitoes}\ni_h0 = 10\n"
+                            "alpha = 0.95\nt_end = 10\nstep = 0.05\n")
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_rejects_inconsistent_mosquito_total(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("n_h = 100\nn_m = 250\nm_ratio = 3\n")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: validation: {path}: n_m = 250.0 does not equal "
+                       "m_ratio * n_h = 300.0\n")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_mosquito_ratio_is_named(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"m_ratio = {value}\n")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: {path}: m_ratio must be positive")
+        assert len(err.splitlines()) == 1
 
     def test_inconsistent_initial_sum_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -546,7 +578,7 @@ ALPHAS = st.floats(0.05, 1.0)
 ORDERS = st.integers(2, 200)
 STEPS = st.floats(0.002, 0.1)
 SCENARIO_VALUES = {
-    "n_h": st.floats(100.0, 1e5), "m_ratio": st.floats(0.5, 5.0),
+    "n_h": st.floats(100.0, 1e5), "m_ratio": st.floats(0.5, 5.0), "n_m": st.floats(100.0, 5e5),
     "bite_rate": st.floats(0.1, 1.0), "beta_mh": st.floats(0.01, 1.0),
     "beta_hm": st.floats(0.01, 1.0), "mu_m": st.floats(0.01, 0.5),
     "eta_h": st.floats(0.05, 1.0), "i_h0": st.floats(0.0, 100.0),

@@ -10,7 +10,6 @@ class TestModelParams:
         params, _ = scenario
         assert params.n_h == 56000.0
         assert params.n_m == 168000.0
-        assert params.m_ratio == 3.0
         assert params.bite_rate == 0.7
         assert params.beta_mh == 0.36
         assert params.beta_hm == 0.36
@@ -20,18 +19,13 @@ class TestModelParams:
 
     def test_rejects_probability_above_one(self):
         with pytest.raises(ValueError, match="beta_mh"):
-            ModelParams(n_h=100.0, n_m=300.0, m_ratio=3.0, bite_rate=0.5,
+            ModelParams(n_h=100.0, n_m=300.0, bite_rate=0.5,
                         beta_mh=1.2, beta_hm=0.3, mu_h=0.01, mu_m=0.1, eta_h=0.3)
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError, match="mu_m"):
-            ModelParams(n_h=100.0, n_m=300.0, m_ratio=3.0, bite_rate=0.5,
+            ModelParams(n_h=100.0, n_m=300.0, bite_rate=0.5,
                         beta_mh=0.3, beta_hm=0.3, mu_h=0.01, mu_m=-0.1, eta_h=0.3)
-
-    def test_rejects_inconsistent_mosquito_total(self):
-        with pytest.raises(ValueError, match="m_ratio"):
-            ModelParams(n_h=100.0, n_m=250.0, m_ratio=3.0, bite_rate=0.5,
-                        beta_mh=0.3, beta_hm=0.3, mu_h=0.01, mu_m=0.1, eta_h=0.3)
 
 
 class TestStateVector:
@@ -130,7 +124,7 @@ class TestClassicalRhs:
         # The module docstring's five equations on the parameter fields, in
         # their order of operations: the precomputed rates must not change
         # a bit on either path.
-        params = ModelParams(n_h=1234.5, n_m=3703.5, m_ratio=3.0, bite_rate=0.61,
+        params = ModelParams(n_h=1234.5, n_m=3703.5, bite_rate=0.61,
                              beta_mh=0.27, beta_hm=0.43, mu_h=3.7e-5, mu_m=0.071,
                              eta_h=0.29)
         states = rng.uniform(-10.0, 4000.0, (200, 5))
