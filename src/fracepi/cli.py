@@ -310,6 +310,9 @@ def _alpha_grid(alpha_min: float, alpha_max: float, alpha_step: float) -> list[f
     steps = (alpha_max - alpha_min) / alpha_step
     if not steps <= MAX_NODES - 1:  # also nan and inf
         raise ValueError(f"alpha grid of {steps:.3g} steps exceeds {MAX_NODES} candidates")
+    if alpha_step < 1e-12:  # the candidates are rounded to 12 decimals below
+        raise ValueError(f"alpha-step must be at least 1e-12, the candidates' resolution, "
+                         f"got {alpha_step!r}")
     count = int(math.floor(steps + 1e-9)) + 1
     alphas = []
     for i in range(count):
@@ -328,7 +331,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                        alphas, scenario.grid, start_offset=scenario.epsilon)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         write_error_curve_csv(fh, result)
-    print(f"best_alpha {result.best_alpha:.3f}")
+    best = f"{result.best_alpha:.3f}"  # repr for a candidate of a grid finer than 0.001
+    print(f"best_alpha {best if float(best) == result.best_alpha else repr(result.best_alpha)}")
     print(f"best_error_pct {result.best_error_pct:.6f}")
     return 0
 

@@ -206,6 +206,7 @@ def _grid_samples(grid: TimeGrid, values: np.ndarray) -> tuple[np.ndarray, float
     return ts, h, values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def approx_rl_derivative_on_grid(grid: TimeGrid, values: np.ndarray,
                                  cfg: ExpansionConfig) -> np.ndarray:
     """Evaluate the expansion of the fractional derivative at every node of grid but t = 0.
@@ -216,26 +217,23 @@ def approx_rl_derivative_on_grid(grid: TimeGrid, values: np.ndarray,
     the lower terminal t = 0, so entry i - 1 of the result belongs to node
     i.  x'(t) is the second-order finite difference of `np.gradient`
     (one-sided at the ends); each V_p(t) is the cumulative trapezoidal
-    quadrature of (1-p) tau^(p-2) x(tau) over [0, t].  A value that is not
-    finite (high orders on fine grids) raises FloatingPointError.
+    quadrature of (1-p) tau^(p-2) x(tau) over [0, t].  `from_config`
+    refuses alpha = 1 (ValueError) before the samples are read, and a value
+    that is not finite raises FloatingPointError, with no warning on the way.
     """
-    if cfg.alpha >= 1.0:
-        raise ValueError("the pointwise expansion requires alpha < 1")
-    ts, h, values = _grid_samples(grid, values)
     coefs = ExpansionCoefficients.from_config(cfg)
+    ts, h, values = _grid_samples(grid, values)
     derivative = np.gradient(values, h, edge_order=2)
     result = (coefs.a_coef * ts[1:] ** (-cfg.alpha) * values[1:]
               + coefs.a_prime_coef * ts[1:] ** (1.0 - cfg.alpha) * derivative[1:])
     power = np.ones_like(ts)          # tau^(p-2), built incrementally
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(2, cfg.order_n + 1):
-            integrand = (1.0 - p) * power * values
-            v_p = h * (np.cumsum(integrand) - 0.5 * (integrand[0] + integrand))
-            result -= coefs.c_coefs[p - 2] * ts[1:] ** (1.0 - p - cfg.alpha) * v_p[1:]
-            power = power * ts
+    for p in range(2, cfg.order_n + 1):
+        integrand = (1.0 - p) * power * values
+        v_p = h * (np.cumsum(integrand) - 0.5 * (integrand[0] + integrand))
+        result -= coefs.c_coefs[p - 2] * ts[1:] ** (1.0 - p - cfg.alpha) * v_p[1:]
+        power = power * ts
     if not np.all(np.isfinite(result)):
-        raise FloatingPointError(f"expansion of order {cfg.order_n} is not finite on this "
-                                 "grid: t^(1-p-alpha) overflows at small t")
+        raise FloatingPointError(f"expansion of order {cfg.order_n} is not finite on this grid")
     return result
 
 

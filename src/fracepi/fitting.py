@@ -103,16 +103,15 @@ def percentage_error(predicted: TimeSeries, obs: ObservedSeries) -> float:
     return float(100.0 * np.mean(np.abs(sampled - obs.infected) / obs.infected))
 
 
-def _check_on_grid(times: np.ndarray, grid: TimeGrid) -> None:
-    """Refuse, before any run, a time outside the span of the grid's nodes.
+def _check_on_grid(times: np.ndarray, grid: TimeGrid) -> list[int]:
+    """The index of the node nearest each time, refusing one outside the grid's span.
 
     The rule is that of the runs' own series, `TimeSeries.nearest_index`,
-    here on the nodes as a series of no columns.
+    here on the nodes as a series of no columns, so it holds before any run.
     """
     nodes = grid.nodes()
     series = TimeSeries(times=nodes, values=np.empty((len(nodes), 0)), columns=())
-    for t in times:
-        series.nearest_index(t)
+    return [series.nearest_index(t) for t in times]
 
 
 def _best_point(curve: Sequence[CurvePoint]) -> CurvePoint | None:
@@ -125,27 +124,23 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
               *, start_offset: float = START_OFFSET) -> FitResult:
     """Exhaustive search for the order that best matches the observations.
 
-    alpha_grid must be sorted ascending with every value in (0, 1];
     alpha = 1 entries run the exact classical model, in the one
     `simulate_batch` call of all candidates.  Candidates that blow up
     receive error +inf and a "failed" status but stay in the curve.
 
-    Raises ValueError, before any run, if an observation time lies outside
-    the grid, and FitFailedError if no candidate survives.
+    Each ValueError comes before any run, from the type that holds its
+    rule: `ExpansionConfig` for a candidate or n_order out of range, this
+    function for a grid not strictly ascending (ties go to the smallest
+    alpha) or an observation time off the grid, and `simulate_batch` for
+    an empty grid.  FitFailedError means that no candidate survived.
     """
     alphas = [float(a) for a in alpha_grid]
-    if not alphas:
-        raise ValueError("alpha_grid must not be empty")
-    if any(not (math.isfinite(a) and 0.0 < a <= 1.0) for a in alphas):
-        raise ValueError("alpha_grid values must lie in (0, 1]")
+    cfgs = [ExpansionConfig(alpha=alpha, order_n=n_order) for alpha in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha_grid must be sorted in strictly ascending order")
-    if n_order < 2:
-        raise ValueError(f"n_order must be >= 2, got {n_order}")
     # The times are increasing, so the first and the last bound the span.
     _check_on_grid(obs.times[[0, -1]], grid)
 
-    cfgs = [ExpansionConfig(alpha=alpha, order_n=n_order) for alpha in alphas]
     runs = simulate_batch(params, y0, cfgs, grid, start_offset=start_offset)
     curve = []
     for alpha, run in zip(alphas, runs):
@@ -179,10 +174,9 @@ def generate_synthetic(params: ModelParams, y0: StateVector, alpha_star: float,
     if noise_pct < 0:
         raise ValueError(f"noise_pct must be >= 0, got {noise_pct!r}")
     sample_times = np.asarray(sample_times, dtype=float)
-    _check_on_grid(sample_times, grid)
+    indices = _check_on_grid(sample_times, grid)
     cfg = ExpansionConfig(alpha=alpha_star, order_n=n_order)
     series = simulate_fractional(params, y0, cfg, grid, start_offset=start_offset)
-    indices = [series.nearest_index(t) for t in sample_times]
     exact = series.column("I_h")[indices]
     rng = np.random.default_rng(seed)
     noisy = exact * (1.0 + noise_pct / 100.0 * rng.uniform(-1.0, 1.0, len(exact)))

@@ -385,6 +385,9 @@ class TestCommands:
     @pytest.mark.parametrize("flags, reason", [
         (["--alpha-step", "0"], "alpha-step must be positive"),
         (["--alpha-min", "0.95", "--alpha-max", "0.94"], "alpha-max must not be below"),
+        # Candidates are rounded to 12 decimals: a finer step would collapse them.
+        (["--alpha-min", "0.95", "--alpha-max", "0.9500000000005", "--alpha-step", "1e-13"],
+         "alpha-step must be at least 1e-12"),
     ])
     def test_fit_bad_alpha_grid_exits_1(self, tmp_path, capsys, obs_csv, flags, reason):
         assert main(["fit", "--data", str(obs_csv), *flags,
@@ -392,6 +395,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: validation: {reason}")
         assert len(err.splitlines()) == 1
+
+    def test_fit_bad_candidate_reads_as_simulate_bad_alpha(self, tmp_path, capsys, obs_csv):
+        assert main(["simulate", "--alpha", "-1", "--out", str(tmp_path / "t.csv")]) == 1
+        simulate_err = capsys.readouterr().err
+        assert main(["fit", "--data", str(obs_csv), "--alpha-min", "-1", "--alpha-max", "1",
+                     "--alpha-step", "0.5", "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err == simulate_err
+        assert simulate_err == "error: validation: alpha must satisfy 0 < alpha <= 1, got -1.0\n"
+
+    def test_fit_prints_a_candidate_finer_than_0_001(self, tmp_path, capsys, scenario):
+        # Noiseless data at alpha* = 0.9505: the 0.0005 grid holds it at 0 % error,
+        # and 0.951, its 3-decimal rounding, is a candidate of 5.7 %.
+        params, y0 = scenario
+        obs = generate_synthetic(params, y0, alpha_star=0.9505, n_order=7,
+                                 sample_times=np.arange(10.0, 60.1, 2.0), noise_pct=0.0,
+                                 seed=0, grid=TimeGrid(0.0, 60.0, 0.02))
+        data, cfg, out = tmp_path / "obs.csv", tmp_path / "s.cfg", tmp_path / "curve.csv"
+        with open(data, "w", newline="") as fh:
+            write_observed_csv(fh, obs)
+        cfg.write_text("t_end = 60\nstep = 0.02\n")
+        assert main(["fit", "--config", str(cfg), "--data", str(data),
+                     "--alpha-min", "0.95", "--alpha-max", "0.951",
+                     "--alpha-step", "0.0005", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["best_alpha 0.9505",
+                                                        "best_error_pct 0.000000"]
+        assert out.read_text().splitlines()[2] == "0.95050000000000001,0,ok"
 
     def test_fit_observed_csv_without_rows_exits_1(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
@@ -535,6 +564,17 @@ class TestCommands:
         assert "nan" not in captured.out
         assert captured.err.startswith("error: numerical:")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t_end, step", [("1e-308", "1e-309"), ("1e300", "1e299")])
+    def test_deriv_extreme_grid_exits_2_in_one_line(self, capsys, t_end, step):
+        # The difference quotient overflows on the tiny grid, the moments on the huge one.
+        assert main(["deriv", "--alpha", "0.3", "--order", "2", "--function", "t",
+                     "--t-end", t_end, "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: numerical: expansion of order 2 is not finite "
+                                "on this grid\n")
 
     def test_validate_passes(self, capsys):
         assert main(["validate"]) == 0

@@ -254,7 +254,7 @@ class TestApproxRlDerivative:
 
     def test_rejects_classical_order(self):
         grid = _unit_grid(101)
-        with pytest.raises(ValueError, match="alpha < 1"):
+        with pytest.raises(ValueError, match=r"alpha in \(0, 1\)"):
             approx_rl_derivative_on_grid(grid, grid.nodes(), ExpansionConfig(1.0, 5))
 
     def test_rejects_mismatched_terminal(self):

@@ -207,13 +207,29 @@ class TestFitAlpha:
     def test_rejects_out_of_range_alpha(self, scenario):
         params, y0 = scenario
         obs = ObservedSeries(times=[5.0, 10.0], infected=[10.0, 20.0])
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        with pytest.raises(ValueError, match="0 < alpha <= 1"):
             fit_alpha(obs, params, y0, 7, [0.9, 1.1], FIT_GRID)
 
+    @pytest.mark.parametrize("alpha, n_order", [(1.1, 7), (0.9, 1001)])
+    def test_refuses_with_the_message_of_the_config(self, scenario, monkeypatch,
+                                                    alpha, n_order):
+        # One rule per input: the candidate's config refuses it, before any run.
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulate_batch called")
+
+        monkeypatch.setattr("fracepi.fitting.simulate_batch", no_run)
+        params, y0 = scenario
+        obs = ObservedSeries(times=[5.0, 10.0], infected=[10.0, 20.0])
+        with pytest.raises(ValueError) as from_config:
+            ExpansionConfig(alpha=alpha, order_n=n_order)
+        with pytest.raises(ValueError) as from_fit:
+            fit_alpha(obs, params, y0, n_order, [0.5, alpha], FIT_GRID)
+        assert str(from_fit.value) == str(from_config.value)
+
     @pytest.mark.parametrize("n_order, alphas, match", [
-        (7, [], "must not be empty"),
-        (1, [0.9], "n_order must be >= 2"),
-    ])
+        (7, [], "at least one config"),
+        (1, [0.9], r"order_n must be in \[2, 1000\]"),
+    ], ids=["empty_grid", "low_order"])
     def test_rejects_empty_grid_and_low_order(self, scenario, n_order, alphas, match):
         params, y0 = scenario
         obs = ObservedSeries(times=[5.0, 10.0], infected=[10.0, 20.0])
@@ -284,6 +300,25 @@ class TestGenerateSynthetic:
                 generate_synthetic(params, y0, alpha_star=0.95, n_order=7,
                                    sample_times=times, noise_pct=0.0, seed=1,
                                    grid=TimeGrid(0.0, 100.0, 0.01))
+
+    def test_searches_each_sample_time_once(self, scenario, monkeypatch):
+        params, y0 = scenario
+        calls = []
+        search = TimeSeries.nearest_index
+
+        def counted(self, t):
+            calls.append(t)
+            return search(self, t)
+
+        monkeypatch.setattr(TimeSeries, "nearest_index", counted)
+        obs = generate_synthetic(params, y0, alpha_star=0.95, n_order=7,
+                                 sample_times=SAMPLE_TIMES, noise_pct=0.0,
+                                 seed=1, grid=FIT_GRID)
+        assert calls == list(SAMPLE_TIMES)
+        monkeypatch.undo()
+        series = simulate_fractional(params, y0, ExpansionConfig(0.95, 7), FIT_GRID)
+        indices = [series.nearest_index(t) for t in SAMPLE_TIMES]
+        assert np.array_equal(obs.infected, series.column("I_h")[indices])
 
     def test_rejects_negative_noise(self, scenario):
         params, y0 = scenario
