@@ -297,13 +297,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                  start_offset=scenario.epsilon, keep_aux=args.include_aux)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         write_trajectory_csv(fh, series)
+    alpha = f"{cfg.alpha:g}"  # repr for an order that the short format rounds
     print(f"wrote {args.out}: {len(series.times)} rows, "
-          f"alpha {cfg.alpha:g}, order {cfg.order_n}")
+          f"alpha {alpha if float(alpha) == cfg.alpha else repr(cfg.alpha)}, order {cfg.order_n}")
     return 0
 
 
 def _alpha_grid(alpha_min: float, alpha_max: float, alpha_step: float) -> list[float]:
-    if alpha_step <= 0:
+    if not alpha_step > 0:
         raise ValueError(f"alpha-step must be positive, got {alpha_step!r}")
     if alpha_max < alpha_min:
         raise ValueError("alpha-max must not be below alpha-min")
@@ -314,18 +315,14 @@ def _alpha_grid(alpha_min: float, alpha_max: float, alpha_step: float) -> list[f
         raise ValueError(f"alpha-step must be at least 1e-12, the candidates' resolution, "
                          f"got {alpha_step!r}")
     count = int(math.floor(steps + 1e-9)) + 1
-    alphas = []
-    for i in range(count):
-        a = round(alpha_min + i * alpha_step, 12)
-        if abs(a - 1.0) < 1e-12:
-            a = 1.0  # hit the classical bypass exactly
-        alphas.append(a)
-    return alphas
+    return [round(alpha_min + i * alpha_step, 12) for i in range(count)]
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     scenario = _load_run_setup(args)
     obs = read_observed_csv(args.data)
+    for bound in (args.alpha_min, args.alpha_max):  # the one alpha rule, as in simulate
+        dataclasses.replace(scenario.expansion, alpha=bound)
     alphas = _alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step)
     result = fit_alpha(obs, scenario.params, scenario.initial, scenario.expansion.order_n,
                        alphas, scenario.grid, start_offset=scenario.epsilon)

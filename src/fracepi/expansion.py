@@ -34,8 +34,8 @@ described by 2N time factors K * t ** E (`AugmentedSystem`).  The RK4
 kernel evaluates them for a block of steps with one array power; the
 moment sums of a step then take one matrix product.  alpha = 1 has no
 expansion: the weights contain Gamma(1-alpha) and Gamma(alpha-1) poles
-there, so the weights, the derivative and `expand_system` reject it, and
-the classical bypass lives in `integrate.simulate_fractional`.
+there, so the weights, the derivative and `expand_system` reject it and
+every order within 1e-12 of it; the classical bypass lives in `integrate`.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ class ExpansionConfig:
     """Order data for the derivative expansion.
 
     alpha is the fractional order; alpha = 1 selects the exact classical
-    bypass.  order_n is the truncation order N <= MAX_ORDER of the series
-    (the V_p sum runs over p = 2, ..., N).  The lower terminal of the
-    derivative is always t = 0.
+    bypass, and an order within 1e-12 below 1 has no expansion, which
+    refuses it.  order_n is the truncation order N <= MAX_ORDER of the
+    series (the V_p sum runs over p = 2, ..., N).  The lower terminal of
+    the derivative is always t = 0.
     """
 
     alpha: float
@@ -120,11 +121,11 @@ class ExpansionConfig:
 
 
 def _weights(alpha: float, order_n: int) -> tuple[float, float, np.ndarray]:
-    """(A, A', [C_2 .. C_N]) from one pass of the ratio recurrence."""
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+    """(A, A', [C_2 .. C_N]) from the ratio recurrence; none within _POLE_TOL of 1 (poles)."""
+    if not (0.0 < alpha and 1.0 - alpha > _POLE_TOL):
         raise ValueError(
-            f"expansion coefficients require alpha in (0, 1), got {alpha!r}; "
-            "alpha = 1 is the classical case and bypasses the expansion"
+            f"expansion coefficients require alpha in (0, 1), more than {_POLE_TOL:g} below 1, "
+            f"got {alpha!r}; alpha = 1 is the classical case and bypasses the expansion"
         )
     if order_n < 1:
         raise ValueError(f"order_n must be >= 1, got {order_n}")
@@ -189,7 +190,7 @@ class ExpansionCoefficients:
 
     @classmethod
     def from_config(cls, cfg: ExpansionConfig) -> "ExpansionCoefficients":
-        """Weights for cfg; alpha = 1 has none (gamma poles) and is rejected."""
+        """Weights for cfg; alpha within 1e-12 of 1 has none (gamma poles) and is rejected."""
         a_coef, a_prime_coef, c_coefs = _weights(cfg.alpha, cfg.order_n)
         return cls(a_coef=a_coef, a_prime_coef=a_prime_coef, c_coefs=c_coefs)
 
@@ -330,8 +331,8 @@ def expand_system(f: Callable[[float, np.ndarray], np.ndarray],
     applies the scale s to each weight before the sum, so results differ
     by about 1e-14 relative from the bracket-then-scale evaluation above.
 
-    Raises ValueError for alpha = 1, which has no expansion (the classical
-    bypass lives in `integrate.simulate_fractional`), or for no configs or
+    Raises ValueError for alpha = 1 or within 1e-12 of it, which has no
+    expansion (the classical bypass lives in `integrate`), or for no configs or
     configs of different orders, and DegenerateCoefficientError when |A'|
     is below the safe floor.
     """

@@ -129,10 +129,11 @@ def fit_alpha(obs: ObservedSeries, params: ModelParams, y0: StateVector,
     receive error +inf and a "failed" status but stay in the curve.
 
     Each ValueError comes before any run, from the type that holds its
-    rule: `ExpansionConfig` for a candidate or n_order out of range, this
-    function for a grid not strictly ascending (ties go to the smallest
-    alpha) or an observation time off the grid, and `simulate_batch` for
-    an empty grid.  FitFailedError means that no candidate survived.
+    rule: `ExpansionConfig` for a candidate or n_order out of range, the
+    expansion for a candidate within 1e-12 below 1, this function for a
+    grid not strictly ascending (ties go to the smallest alpha) or an
+    observation time off the grid, and `simulate_batch` for an empty grid.
+    FitFailedError means that no candidate survived.
     """
     alphas = [float(a) for a in alpha_grid]
     cfgs = [ExpansionConfig(alpha=alpha, order_n=n_order) for alpha in alphas]

@@ -14,9 +14,9 @@ sub-steps, whose states are not stored: near the offset the stiff x/t terms
 demand steps proportional to t, and a full-size first step would destroy
 the run.
 
-Every run is a list of configs, one member each: a single run is a list
-of one (of none for the classical field), and `simulate_batch` steps its
-alpha < 1 orders of one N together, storing the physical columns.  The
+Every run is a list of configs, one member each, and one dispatch gives
+its alpha = 1 members one classical run: a single run is a list of one,
+and `simulate_batch` steps its alpha < 1 orders of one N together.  The
 augmented system is an arrow (see `expansion.AugmentedSystem`): each
 moment V_p reads only its compartment x, and x reads the sum of its
 moments.  So the fractional kernels keep x (B, 5) apart from the moments
@@ -399,7 +399,9 @@ def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
 
 def simulate_classical(params: ModelParams, y0: StateVector, grid: TimeGrid) -> TimeSeries:
     """Integrate the classical model; host and mosquito totals are conserved."""
-    series = _single(params, y0, grid, (), START_OFFSET, DENGUE_COLUMNS)
+    (series,) = _simulate(params, y0, grid, (), START_OFFSET, DENGUE_COLUMNS)
+    if isinstance(series, BlowUpError):
+        raise series
     _warn_undershoot(series, params)
     return series
 
@@ -421,14 +423,15 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     reports the physical compartments on the requested grid, with the first
     node holding the initial state; keep_aux=True appends the auxiliary
     trajectories as extra columns.  This is `simulate_batch` of one
-    config: the same body, block loop and float kernel.
+    config: the same dispatch, body, block loop and float kernel.
 
     alpha = 1 runs the classical field, so that case is identical to
     simulate_classical on the same grid, bit for bit.
     """
     columns = DENGUE_COLUMNS + aux_column_names(cfg.order_n) if keep_aux else DENGUE_COLUMNS
-    series = _single(params, y0, grid, () if cfg.alpha == 1.0 else (cfg,), start_offset,
-                     columns)
+    (series,) = _batch(params, y0, grid, [cfg], start_offset, columns)
+    if isinstance(series, BlowUpError):
+        raise series
     _warn_undershoot(series, params)
     return series
 
@@ -447,28 +450,25 @@ def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[Expansio
     alpha = 1 ones share one classical run.  Each run checks MAX_ENTRIES
     for itself; the classical one holds at most 5 % of it (5 x MAX_NODES).
     """
-    if not cfgs:
-        raise ValueError("a batch needs at least one config")
-    fractional = [cfg for cfg in cfgs if cfg.alpha != 1.0]
-    stepped = iter(_simulate(params, y0, grid, fractional, start_offset, DENGUE_COLUMNS)
-                   if fractional else ())
-    if len(fractional) < len(cfgs):
-        classical, = _simulate(params, y0, grid, (), start_offset, DENGUE_COLUMNS)
-    runs = [classical if cfg.alpha == 1.0 else next(stepped) for cfg in cfgs]
+    runs = _batch(params, y0, grid, cfgs, start_offset, DENGUE_COLUMNS)
     for run in runs:
         if isinstance(run, TimeSeries):
             _warn_undershoot(run, params)
     return runs
 
 
-def _single(params: ModelParams, y0: StateVector, grid: TimeGrid,
-            cfgs: Sequence[ExpansionConfig], start_offset: float,
-            columns: tuple[str, ...]) -> TimeSeries:
-    """The run of no config (the classical field) or one; raises its BlowUpError."""
-    (run,) = _simulate(params, y0, grid, cfgs, start_offset, columns)
-    if isinstance(run, BlowUpError):
-        raise run
-    return run
+def _batch(params: ModelParams, y0: StateVector, grid: TimeGrid,
+           cfgs: Sequence[ExpansionConfig], start_offset: float,
+           columns: tuple[str, ...]) -> list[TimeSeries | BlowUpError]:
+    """`simulate_batch` of the given columns, the one place that runs alpha = 1 classically."""
+    if not cfgs:
+        raise ValueError("a batch needs at least one config")
+    fractional = [cfg for cfg in cfgs if cfg.alpha != 1.0]
+    stepped = iter(_simulate(params, y0, grid, fractional, start_offset, columns)
+                   if fractional else ())
+    if len(fractional) < len(cfgs):
+        classical, = _simulate(params, y0, grid, (), start_offset, columns)
+    return [classical if cfg.alpha == 1.0 else next(stepped) for cfg in cfgs]
 
 
 def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,

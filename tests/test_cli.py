@@ -248,6 +248,23 @@ class TestCommands:
         assert "V2_S_h" in series.columns
         assert np.all(series.values[0, 5:] == 0.0)
 
+    @pytest.mark.parametrize("alpha, named", [("0.95", "0.95"), ("1.0", "1"),
+                                              ("0.999999999", "0.999999999")])
+    def test_simulate_names_the_order_it_ran(self, tmp_path, capsys, alpha, named):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("t_end = 5\nstep = 0.05\n")
+        assert main(["simulate", "--config", str(cfg), "--alpha", alpha,
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr().out.endswith(f", alpha {named}, order 7\n")
+
+    def test_simulate_order_next_to_one_is_refused_by_the_alpha_rule(self, tmp_path, capsys):
+        assert main(["simulate", "--alpha", "0.9999999999999",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: ")
+        assert len(err.splitlines()) == 1
+        assert "alpha" in err and "gamma" not in err
+
     def test_simulate_blow_up_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
         cfg.write_text("alpha = 0.3\nt_end = 100\nstep = 2\n")
@@ -388,6 +405,7 @@ class TestCommands:
         # Candidates are rounded to 12 decimals: a finer step would collapse them.
         (["--alpha-min", "0.95", "--alpha-max", "0.9500000000005", "--alpha-step", "1e-13"],
          "alpha-step must be at least 1e-12"),
+        (["--alpha-step", "nan"], "alpha-step must be positive, got nan"),
     ])
     def test_fit_bad_alpha_grid_exits_1(self, tmp_path, capsys, obs_csv, flags, reason):
         assert main(["fit", "--data", str(obs_csv), *flags,
@@ -403,6 +421,27 @@ class TestCommands:
                      "--alpha-step", "0.5", "--out", str(tmp_path / "c.csv")]) == 1
         assert capsys.readouterr().err == simulate_err
         assert simulate_err == "error: validation: alpha must satisfy 0 < alpha <= 1, got -1.0\n"
+
+    @pytest.mark.parametrize("flag, bound", [("--alpha-min", "nan"), ("--alpha-max", "nan"),
+                                             ("--alpha-max", "inf"), ("--alpha-max", "1.5")])
+    def test_fit_bad_bound_reads_as_simulate_bad_alpha(self, tmp_path, capsys, obs_csv,
+                                                      flag, bound):
+        assert main(["simulate", "--alpha", bound, "--out", str(tmp_path / "t.csv")]) == 1
+        simulate_err = capsys.readouterr().err
+        assert main(["fit", "--data", str(obs_csv), flag, bound,
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err == simulate_err
+        assert simulate_err.startswith("error: validation: alpha must satisfy 0 < alpha <= 1")
+
+    def test_fit_candidate_next_to_one_is_refused_by_name(self, tmp_path, capsys, obs_csv):
+        out = tmp_path / "c.csv"
+        assert main(["fit", "--data", str(obs_csv), "--alpha-min", "0.999999999999",
+                     "--alpha-max", "0.999999999999", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: ")
+        assert len(err.splitlines()) == 1
+        assert "got 0.999999999999;" in err and "gamma" not in err
+        assert not out.exists()
 
     def test_fit_prints_a_candidate_finer_than_0_001(self, tmp_path, capsys, scenario):
         # Noiseless data at alpha* = 0.9505: the 0.0005 grid holds it at 0 % error,

@@ -122,6 +122,13 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             ExpansionCoefficients.from_config(ExpansionConfig(alpha=1.0, order_n=5))
 
+    def test_order_just_below_one_refused_by_the_alpha_rule_not_gamma(self):
+        # 1 - alpha = 1e-13 puts Gamma(1-alpha) within the pole tolerance.
+        rule = r"alpha in \(0, 1\), more than 1e-12 below 1, got 0\.9999999999999;"
+        with pytest.raises(ValueError, match=rule) as info:
+            coeff_a(1 - 1e-13, 7)
+        assert not isinstance(info.value, PoleError)
+
     def test_low_order_and_index_rejected(self):
         with pytest.raises(ValueError, match="order_n must be >= 1"):
             coeff_a(0.5, 0)
