@@ -170,7 +170,7 @@ def generate_synthetic(params: ModelParams, y0: StateVector, alpha_star: float,
     (1 + noise_pct/100 * u) with u drawn uniformly from [-1, 1] by a seeded
     generator.  noise_pct = 0 reproduces the model samples exactly, and a
     fixed seed makes the series fully deterministic.  A sample time outside
-    the grid raises ValueError before the run.
+    the grid or not finite raises ValueError before the run.
     """
     if noise_pct < 0:
         raise ValueError(f"noise_pct must be >= 0, got {noise_pct!r}")

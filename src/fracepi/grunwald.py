@@ -40,7 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .dengue import ModelParams, StateVector, check_population_balance, classical_rhs
-from .expansion import _grid_samples, gamma
+from .expansion import _POLE_TOL, _grid_samples, gamma
 from .integrate import BlowUpError, DENGUE_COLUMNS, TimeGrid, TimeSeries, _warn_undershoot
 
 __all__ = [
@@ -158,13 +158,14 @@ def power_rule_exact(alpha: float, k: int, t: float) -> float:
 
     D^alpha t^k = Gamma(k+1) / Gamma(k+1-alpha) * t^(k-alpha); k = 0 gives
     the derivative of a constant, which is nonzero for fractional alpha.
+    Every k refuses an alpha within _POLE_TOL below 1, as the expansion does.
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t!r}")
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    if not (0.0 < alpha and 1.0 - alpha > _POLE_TOL):
+        raise ValueError(f"alpha must be in (0, 1), more than {_POLE_TOL:g} below 1, got {alpha!r}")
     return gamma(k + 1.0) / gamma(k + 1.0 - alpha) * t ** (k - alpha)
 
 

@@ -14,9 +14,10 @@ sub-steps, whose states are not stored: near the offset the stiff x/t terms
 demand steps proportional to t, and a full-size first step would destroy
 the run.
 
-Every run is a list of configs, one member each, and one dispatch gives
-its alpha = 1 members one classical run: a single run is a list of one,
-and `simulate_batch` steps its alpha < 1 orders of one N together.  The
+Every run is one call of that body, `_simulate`, on a non-empty list of
+configs, one member each (a single run is a list of one): its alpha < 1
+members, all of one N, step together, its alpha = 1 members share one
+classical run, and one MAX_ENTRIES check counts them all.  The
 augmented system is an arrow (see `expansion.AugmentedSystem`): each
 moment V_p reads only its compartment x, and x reads the sum of its
 moments.  So the fractional kernels keep x (B, 5) apart from the moments
@@ -31,8 +32,8 @@ the kernel: one member does the stage arithmetic on Python floats, several
 times cheaper than numpy on five numbers; more do the same operations in
 the same order on (B, 5) arrays, so each member equals its single run bit
 for bit, and a member that blows up is marked failed while the others run
-on.  The classical field (`simulate_classical` and the alpha = 1 bypass)
-is stepped on Python floats too, by plain RK4 stages without moment terms.
+on.  The classical field of the alpha = 1 members is stepped on Python
+floats too, by plain RK4 stages without moment terms.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ BLOCK_ENTRIES = 4096
 # A TimeGrid of more nodes is rejected before any array is allocated.
 MAX_NODES = 10 ** 6
 
-# A run whose result (nodes x members x columns) and expansion arrays
-# exceed this many float64 entries (800 MB) is refused first.  Per member
-# the expansion holds 2 x 2N weights and 5 (N-1) moments, and two steps of
+# A run whose result (nodes x runs x columns, the alpha = 1 members' one
+# classical run included) and expansion arrays exceed this many float64
+# entries (800 MB) is refused first.  Per alpha < 1 member the expansion
+# holds 2 x 2N weights and 5 (N-1) moments, and two steps of
 # `_arrow_steps` at once (the next is built while the kernel holds the
 # last): each the arrow's 3 x 2N powers, the scaled g and rw (3 (N-1)
 # each), and one step's q temporaries (3 x 3 (N-1)).
@@ -179,13 +181,15 @@ class TimeSeries:
             raise ValueError("column names must match the state dimension")
 
     def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise ValueError(f"no column {name!r} in a series of columns {self.columns}")
         return self.values[:, self.columns.index(name)]
 
     def nearest_index(self, t: float) -> int:
-        """Index of the node closest to t; t must lie within the span."""
+        """Index of the node closest to t; t must be finite and lie within the span."""
         times = self.times
         tol = 1e-9 * max(1.0, abs(times[-1]))
-        if t < times[0] - tol or t > times[-1] + tol:
+        if not times[0] - tol <= t <= times[-1] + tol:  # also refuses NaN
             raise ValueError(
                 f"t = {float(t)!r} is outside the simulated span "
                 f"[{float(times[0])!r}, {float(times[-1])!r}]"
@@ -398,8 +402,10 @@ def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
 
 
 def simulate_classical(params: ModelParams, y0: StateVector, grid: TimeGrid) -> TimeSeries:
-    """Integrate the classical model; host and mosquito totals are conserved."""
-    (series,) = _simulate(params, y0, grid, (), START_OFFSET, DENGUE_COLUMNS)
+    """Integrate the classical model, the run of one alpha = 1 config (its order
+    is unused); host and mosquito totals are conserved."""
+    (series,) = _simulate(params, y0, grid, [ExpansionConfig(1.0, 2)], START_OFFSET,
+                          DENGUE_COLUMNS)
     if isinstance(series, BlowUpError):
         raise series
     _warn_undershoot(series, params)
@@ -423,13 +429,13 @@ def simulate_fractional(params: ModelParams, y0: StateVector, cfg: ExpansionConf
     reports the physical compartments on the requested grid, with the first
     node holding the initial state; keep_aux=True appends the auxiliary
     trajectories as extra columns.  This is `simulate_batch` of one
-    config: the same dispatch, body, block loop and float kernel.
+    config: the same body, size check, block loop and float kernel.
 
     alpha = 1 runs the classical field, so that case is identical to
     simulate_classical on the same grid, bit for bit.
     """
     columns = DENGUE_COLUMNS + aux_column_names(cfg.order_n) if keep_aux else DENGUE_COLUMNS
-    (series,) = _batch(params, y0, grid, [cfg], start_offset, columns)
+    (series,) = _simulate(params, y0, grid, [cfg], start_offset, columns)
     if isinstance(series, BlowUpError):
         raise series
     _warn_undershoot(series, params)
@@ -445,46 +451,35 @@ def simulate_batch(params: ModelParams, y0: StateVector, cfgs: Sequence[Expansio
     with alpha < 1 of one order N, and only the five physical columns are
     stored.  Entry b is what `simulate_fractional` returns for cfgs[b],
     bit for bit, or the BlowUpError it would raise: a member that blows up
-    is marked while the others run on.  The alpha < 1 configs step in one
-    `_simulate` run (on floats for one, on arrays for more), and the
-    alpha = 1 ones share one classical run.  Each run checks MAX_ENTRIES
-    for itself; the classical one holds at most 5 % of it (5 x MAX_NODES).
+    is marked while the others run on.  The whole batch is one `_simulate`
+    run: the alpha < 1 configs step together (on floats for one, on arrays
+    for more), the alpha = 1 ones share one classical run, and MAX_ENTRIES
+    is checked once for all of them.
     """
-    runs = _batch(params, y0, grid, cfgs, start_offset, DENGUE_COLUMNS)
+    runs = _simulate(params, y0, grid, cfgs, start_offset, DENGUE_COLUMNS)
     for run in runs:
         if isinstance(run, TimeSeries):
             _warn_undershoot(run, params)
     return runs
 
 
-def _batch(params: ModelParams, y0: StateVector, grid: TimeGrid,
-           cfgs: Sequence[ExpansionConfig], start_offset: float,
-           columns: tuple[str, ...]) -> list[TimeSeries | BlowUpError]:
-    """`simulate_batch` of the given columns, the one place that runs alpha = 1 classically."""
-    if not cfgs:
-        raise ValueError("a batch needs at least one config")
-    fractional = [cfg for cfg in cfgs if cfg.alpha != 1.0]
-    stepped = iter(_simulate(params, y0, grid, fractional, start_offset, columns)
-                   if fractional else ())
-    if len(fractional) < len(cfgs):
-        classical, = _simulate(params, y0, grid, (), start_offset, columns)
-    return [classical if cfg.alpha == 1.0 else next(stepped) for cfg in cfgs]
-
-
 def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
               cfgs: Sequence[ExpansionConfig], start_offset: float,
               columns: tuple[str, ...]) -> list[TimeSeries | BlowUpError]:
-    """The one simulation body: a run is a sequence of configs, one member each.
+    """The one simulation body: a run is a non-empty sequence of configs, one member each.
 
-    No config integrates the classical field, as one member; B configs of
-    one order N integrate their augmented system, and the member count
-    picks the kernel: Python floats for one (`_rk4_arrow`), (B, 5) arrays
-    for more (`_rk4_arrow_batch`).  Returns one entry per member: its
+    The alpha < 1 configs, B of one order N, integrate their augmented
+    system, and their count picks the kernel: Python floats for one
+    (`_rk4_arrow`), (B, 5) arrays for more (`_rk4_arrow_batch`).  The
+    alpha = 1 configs share one run of the classical field (`_rk4`), the
+    last of the result array's runs.  Returns one entry per config: its
     series of the given columns (columns the state does not have stay
     zero), or the BlowUpError naming the grid node it failed to reach.  A
-    run of more than MAX_ENTRIES entries is refused before anything is
-    built.
+    run whose result and expansion arrays together exceed MAX_ENTRIES is
+    refused before anything is built.
     """
+    if not cfgs:
+        raise ValueError("a batch needs at least one config")
     check_population_balance(params, y0)
     if start_offset <= 0 or not math.isfinite(start_offset):
         raise ValueError(f"start_offset must be positive and finite, got {start_offset!r}")
@@ -492,20 +487,18 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     def f(t: float, y: np.ndarray) -> np.ndarray:
         return classical_rhs(t, y, params)
 
-    nodes = grid.nodes()
-    members, width = max(len(cfgs), 1), len(columns)
-    expansion = sum(16 * c.order_n + 26 * (c.order_n - 1) for c in cfgs)  # see MAX_ENTRIES
-    if len(nodes) * members * width + expansion > MAX_ENTRIES:
-        raise ValueError(f"a result of {len(nodes)} nodes x {members} runs x {width} columns "
+    fractional = [cfg for cfg in cfgs if cfg.alpha != 1.0]
+    stepped = len(fractional)
+    nodes, runs, width = grid.nodes(), stepped + (stepped < len(cfgs)), len(columns)
+    expansion = sum(16 * c.order_n + 26 * (c.order_n - 1) for c in fractional)  # see MAX_ENTRIES
+    if len(nodes) * runs * width + expansion > MAX_ENTRIES:
+        raise ValueError(f"a result of {len(nodes)} nodes x {runs} runs x {width} columns "
                          f"and {expansion} expansion entries exceed {MAX_ENTRIES:.0e} entries")
-    values = np.zeros((len(nodes), members, width))
+    values = np.zeros((len(nodes), runs, width))
     values[0, :, :5] = y0.as_array()
-    fail_t = np.full(members, np.nan)
-    if not cfgs:
-        # keep_aux of the classical bypass: the auxiliary columns stay zero.
-        _rk4(f, nodes, y0.as_array().tolist(), values[:, 0, :5], fail_t)
-    else:
-        system = expand_system(f, cfgs)
+    fail_t = np.full(runs, np.nan)
+    if fractional:
+        system = expand_system(f, fractional)
         if start_offset >= nodes[1]:
             raise ValueError(
                 f"start_offset = {start_offset!r} does not leave room before the "
@@ -514,10 +507,15 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
         ramp = [start_offset]  # geometric sub-steps up to the first node
         while ramp[-1] * RAMP_FACTOR < nodes[1]:
             ramp.append(ramp[-1] * RAMP_FACTOR)
-        step = _rk4_arrow if members == 1 else _rk4_arrow_batch
-        step(system, np.concatenate([ramp, nodes[1:]]), np.tile(y0.as_array(), (members, 1)),
-             np.zeros((members, system.order_n - 1, 5)), _Columns(values, len(ramp) - 1),
-             fail_t)
-    return [TimeSeries(times=nodes, values=values[:, b], columns=columns) if math.isnan(t)
-            else BlowUpError(t, int(np.searchsorted(nodes, t)))
-            for b, t in enumerate(fail_t.tolist())]
+        step = _rk4_arrow if stepped == 1 else _rk4_arrow_batch
+        step(system, np.concatenate([ramp, nodes[1:]]), np.tile(y0.as_array(), (stepped, 1)),
+             np.zeros((stepped, system.order_n - 1, 5)),
+             _Columns(values[:, :stepped], len(ramp) - 1), fail_t[:stepped])
+    if stepped < runs:
+        # The classical field leaves the auxiliary columns zero.
+        _rk4(f, nodes, y0.as_array().tolist(), values[:, stepped, :5], fail_t[stepped:])
+    series = [TimeSeries(times=nodes, values=values[:, b], columns=columns) if math.isnan(t)
+              else BlowUpError(t, int(np.searchsorted(nodes, t)))
+              for b, t in enumerate(fail_t.tolist())]
+    members = iter(series)
+    return [series[-1] if cfg.alpha == 1.0 else next(members) for cfg in cfgs]

@@ -81,6 +81,13 @@ class TestPercentageError:
         with pytest.raises(ValueError, match="span"):
             percentage_error(series, obs)
 
+    def test_series_without_infected_column_is_named(self):
+        times = np.linspace(0.0, 10.0, 11)
+        series = TimeSeries(times=times, values=np.ones((11, 1)), columns=("S_h",))
+        obs = ObservedSeries(times=[2.0, 8.0], infected=[1.0, 1.0])
+        with pytest.raises(ValueError, match=r"no column 'I_h' .*\('S_h',\)"):
+            percentage_error(series, obs)
+
     def test_nearest_node_alignment(self):
         # Observation at 4.97 must read the node at 5.0, not 4.9.
         times = np.arange(0.0, 10.1, 0.1)
@@ -295,7 +302,7 @@ class TestGenerateSynthetic:
             raise AssertionError("stepped before the sample times were checked")
 
         monkeypatch.setattr("fracepi.fitting.simulate_fractional", no_run)
-        for times in ([10.0, 150.0], [-1.0, 10.0], [150.0, 10.0]):
+        for times in ([10.0, 150.0], [-1.0, 10.0], [150.0, 10.0], [10.0, math.nan]):
             with pytest.raises(ValueError, match="outside the simulated span"):
                 generate_synthetic(params, y0, alpha_star=0.95, n_order=7,
                                    sample_times=times, noise_pct=0.0, seed=1,

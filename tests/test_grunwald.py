@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracepi.dengue import StateVector, classical_rhs
-from fracepi.expansion import ExpansionConfig, approx_rl_derivative_on_grid
+from fracepi.expansion import ExpansionConfig, PoleError, approx_rl_derivative_on_grid
 from fracepi.grunwald import (_BLOCK, _CHUNK, _gl_far, gl_derivative_on_grid, gl_simulate,
                               gl_weights, power_rule_exact)
 from fracepi.integrate import BlowUpError, TimeGrid, simulate_batch, simulate_fractional
@@ -206,6 +206,15 @@ class TestPowerRuleExact:
             power_rule_exact(0.5, 1, 0.0)
         with pytest.raises(ValueError):
             power_rule_exact(1.0, 1, 1.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_refuses_order_in_the_gap_below_one(self, k):
+        # Gamma(1 - alpha) is on its pole there; the order rule refuses it
+        # for every k, not only where Gamma(k + 1 - alpha) is.
+        with pytest.raises(ValueError, match="below 1") as refused:
+            power_rule_exact(1.0 - 1e-13, k, 1.0)
+        assert not isinstance(refused.value, PoleError)
+        assert "gamma" not in str(refused.value)
 
 
 class TestGlSimulate:

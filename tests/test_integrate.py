@@ -86,6 +86,19 @@ class TestTimeSeries:
                             values=np.zeros((101, 1)), columns=("a",))
         assert series.nearest_index(10.0 + 1e-9) == 100
 
+    def test_nearest_index_refuses_nan(self):
+        # Every comparison with NaN is false, so a search would land on a node.
+        series = TimeSeries(times=np.linspace(0.0, 10.0, 101),
+                            values=np.zeros((101, 1)), columns=("a",))
+        with pytest.raises(ValueError, match="t = nan is outside the simulated span"):
+            series.nearest_index(math.nan)
+
+    def test_missing_column_is_named(self):
+        series = TimeSeries(times=[0.0, 1.0], values=[[1.0, 2.0], [3.0, 4.0]],
+                            columns=("a", "b"))
+        with pytest.raises(ValueError, match=r"no column 'cases' .*\('a', 'b'\)"):
+            series.column("cases")
+
     @pytest.mark.parametrize("times, width, columns, match", [
         ([0.0, 1.0, 2.0], 1, ("a",), "num_nodes"),
         ([0.0, 1.0], 2, ("a",), "column names"),
@@ -597,6 +610,21 @@ class TestOperatorBlocks:
         cfgs = [ExpansionConfig(0.9 + 0.01 * k, 1000) for k in range(10)]
         with pytest.raises(ValueError, match="419740 expansion entries exceed"):
             simulate_batch(params, y0, cfgs, TimeGrid(0.0, 0.02, 0.01))
+
+    def test_mixed_batch_is_counted_once(self, scenario, monkeypatch):
+        # 101 nodes x 3 runs x 5 columns = 1515 entries, and 2 x 268 of the
+        # two alpha < 1 members' expansion: 2051 in all.  Each part alone
+        # fits in 2000; the alpha = 1 run is counted with the others.
+        params, y0 = scenario
+
+        def no_system(*args, **kwargs):
+            raise AssertionError("expand_system called")
+
+        monkeypatch.setattr(integrate, "MAX_ENTRIES", 2_000)
+        monkeypatch.setattr(integrate, "expand_system", no_system)
+        cfgs = [ExpansionConfig(a, 7) for a in (0.9, 0.95, 1.0)]
+        with pytest.raises(ValueError, match="101 nodes x 3 runs x 5 columns and 536 "):
+            simulate_batch(params, y0, cfgs, TimeGrid(0.0, 1.0, 0.01))
 
     @pytest.mark.parametrize("members, order_n", [(1, 1000), (10, 1000), (100, 1000),
                                                   (10, 200), (100, 40)])
