@@ -207,13 +207,17 @@ def gl_simulate(params: ModelParams, y0: StateVector, alpha: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for s, far in _gl_far(w, y_rev):
             count = len(far)
-            for j, (t, far_k) in enumerate(zip(ts[s:s + count].tolist(), far.tolist())):
+            for j, (t, (far0, far1, far2, far3, far4)) in enumerate(
+                    zip(ts[s:s + count].tolist(), far.tolist())):
                 k = s + 1 + j
-                near = np.dot(w[:j + 2], y_rev[n - k:n - s + 1]).tolist()
-                # On Python floats: the same IEEE operations as on the rows,
-                # without numpy's per-call cost on five values.
-                y = [h_alpha * fc - (ac + bc)
-                     for fc, ac, bc in zip(classical_rhs(t, y, params), far_k, near)]
+                near0, near1, near2, near3, near4 = np.dot(w[:j + 2],
+                                                           y_rev[n - k:n - s + 1]).tolist()
+                # On five Python floats: the same IEEE operations as on the
+                # rows, without numpy's per-call cost on five values.
+                f0, f1, f2, f3, f4 = classical_rhs(t, y, params)
+                y = [h_alpha * f0 - (far0 + near0), h_alpha * f1 - (far1 + near1),
+                     h_alpha * f2 - (far2 + near2), h_alpha * f3 - (far3 + near3),
+                     h_alpha * f4 - (far4 + near4)]
                 y_rev[n - k] = y
             # A non-finite node only spoils the nodes after it.  Row i of the
             # block is node s + count - i, and the rows before it are finite.

@@ -28,12 +28,15 @@ then takes one matrix product for the moment sums at its three stage
 times, four stages on the five physical states alone (the moments enter
 each stage as that sum plus one precomputed scalar times the previous
 stage's x), and one matrix product that updates w.  The member count picks
-the kernel: one member does the stage arithmetic on Python floats, several
-times cheaper than numpy on five numbers; more do the same operations in
-the same order on (B, 5) arrays, so each member equals its single run bit
-for bit, and a member that blows up is marked failed while the others run
-on.  The classical field of the alpha = 1 members is stepped on Python
-floats too, by plain RK4 stages without moment terms.
+the kernel: one member does the stage arithmetic on five Python floats per
+stage, several times cheaper than numpy on five numbers; more do the same
+operations in the same order on (B, 5) arrays, so each member equals its
+single run bit for bit.  Both kernels write a block's states into buffers
+they reuse for every block, and store and check them once, at the block's
+end: a member that blows up is marked failed at the first node it did not
+reach, while the others run on.  The classical field of the alpha = 1
+members is stepped on Python floats too, by plain RK4 stages without
+moment terms, and checked at every node.
 """
 
 from __future__ import annotations
@@ -84,10 +87,12 @@ MAX_NODES = 10 ** 6
 # A run whose result (nodes x runs x columns, the alpha = 1 members' one
 # classical run included) and expansion arrays exceed this many float64
 # entries (800 MB) is refused first.  Per alpha < 1 member the expansion
-# holds 2 x 2N weights and 5 (N-1) moments, and two steps of
-# `_arrow_steps` at once (the next is built while the kernel holds the
-# last): each the arrow's 3 x 2N powers, the scaled g and rw (3 (N-1)
-# each), and one step's q temporaries (3 x 3 (N-1)).
+# holds 2 x 2N weights and 5 (N-1) moments, two steps of `_arrow_steps`
+# at once (the next is built while the kernel holds the last): each the
+# arrow's 3 x 2N powers, the scaled g and rw (3 (N-1) each), and one
+# step's q temporaries (3 x 3 (N-1)), and the kernel's block buffers of
+# 5 + 5 (N-1) = 5N states per step.  Like the block's factors, the buffers
+# of a block of several steps hold at most a multiple of BLOCK_ENTRIES.
 MAX_ENTRIES = 10 ** 8
 
 
@@ -231,6 +236,11 @@ def _rk4(f: Callable[[float, list], Sequence[float]], ts: np.ndarray, x: list,
         out[i + 1] = x
 
 
+def _block_steps(system: AugmentedSystem) -> int:
+    """Steps per block of `_arrow_steps`: as many as BLOCK_ENTRIES factors hold, at least one."""
+    return max(1, BLOCK_ENTRIES // (3 * system.factors.size))
+
+
 def _arrow_steps(system: AugmentedSystem, ts: np.ndarray
                  ) -> Iterator[tuple[int, list, np.ndarray, np.ndarray, np.ndarray]]:
     """The one block loop of the arrow kernels: yield (start, tl, g, rw, coefs) per block.
@@ -247,7 +257,7 @@ def _arrow_steps(system: AugmentedSystem, ts: np.ndarray
     j's moment sum that the previous stage added to V through its x:
     (h/2) r(t).g(t + h/2), (h/2) r(t + h/2).g(t + h/2) and h r(t + h/2).g(t + h).
     """
-    block = max(1, BLOCK_ENTRIES // (3 * system.factors.size))
+    block = _block_steps(system)
     for start in range(0, len(ts) - 1, block):
         nodes = ts[start:start + block + 1]
         t, h = nodes[:-1], np.diff(nodes)
@@ -265,43 +275,76 @@ def _rk4_arrow(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: np.nda
                fail_t: np.ndarray) -> None:
     """RK4 on the augmented system of a batch of one config, on Python floats.
 
-    x, of shape (1, d), holds the physical states and w, of shape
-    (1, N-1, d), their moments V_2 ... V_N, one row per p; w is updated in
-    place.  Each step takes one product g @ w for the moment sums at its
-    three stage times; its four stages then act on x alone, and one
+    x, of shape (1, 5), holds the physical states and w, of shape
+    (1, N-1, 5), their moments V_2 ... V_N, one row per p.  Each step
+    takes one product g @ w for the moment sums at its three stage times;
+    its four stages then act on x alone, on five named floats each (x20
+    is component 0 of stage 2's state x_2, k20 of its slope k2), and one
     product rw @ [x_1, x_2 + x_3, x_4] of the stage states updates w (see
     `_arrow_steps`).  The stage arithmetic is `_rk4_arrow_batch`'s,
-    operation for operation.  out[i] = (x, w) stores the state at ts[i]
-    for i >= 1; a non-finite state ends the run as in `_rk4`.
+    operation for operation, and so is the bookkeeping: the states of a
+    block's steps go to block buffers, which `_store_block` stores and
+    checks at the block's end.  A non-finite state ends the run there,
+    with its first failing node in fail_t[0].
     """
     f = system.rhs
-    isfinite = math.isfinite
-    x, w = x[0].tolist(), w[0]
+    xs, ws = _block_buffers(system, ts, x, w)
+    x10, x11, x12, x13, x14 = x = x[0].tolist()
+    w = w[0]
     for start, tl, g, rw, coefs in _arrow_steps(system, ts):
         g, rw = g[:, 0], rw[:, 0]
+        rows = []
         for k, (s1, s2, s4, a1, a2, a4, q2, q3, q4) in enumerate(coefs[..., 0].tolist()):
             t = tl[k]
             h = tl[k + 1] - t
             hh = 0.5 * h
-            m1, m2, m4 = (g[k] @ w).tolist()
-            k1 = [s1 * fc + a1 * xc + mc for fc, xc, mc in zip(f(t, x), x, m1)]
-            x2 = [xc + hh * kc for xc, kc in zip(x, k1)]
-            k2 = [s2 * fc + a2 * xc + (mc + q2 * pc)
-                  for fc, xc, mc, pc in zip(f(t + hh, x2), x2, m2, x)]
-            x3 = [xc + hh * kc for xc, kc in zip(x, k2)]
-            k3 = [s2 * fc + a2 * xc + (mc + q3 * pc)
-                  for fc, xc, mc, pc in zip(f(t + hh, x3), x3, m2, x2)]
-            x4 = [xc + h * kc for xc, kc in zip(x, k3)]
-            k4 = [s4 * fc + a4 * xc + (mc + q4 * pc)
-                  for fc, xc, mc, pc in zip(f(t + h, x4), x4, m4, x3)]
-            w += rw[k] @ np.array([x, [b + c for b, c in zip(x2, x3)], x4])
+            ((m10, m11, m12, m13, m14), (m20, m21, m22, m23, m24),
+             (m40, m41, m42, m43, m44)) = (g[k] @ w).tolist()
+            f0, f1, f2, f3, f4 = f(t, x)
+            k10 = s1 * f0 + a1 * x10 + m10
+            k11 = s1 * f1 + a1 * x11 + m11
+            k12 = s1 * f2 + a1 * x12 + m12
+            k13 = s1 * f3 + a1 * x13 + m13
+            k14 = s1 * f4 + a1 * x14 + m14
+            x2 = [x10 + hh * k10, x11 + hh * k11, x12 + hh * k12, x13 + hh * k13,
+                  x14 + hh * k14]
+            x20, x21, x22, x23, x24 = x2
+            f0, f1, f2, f3, f4 = f(t + hh, x2)
+            k20 = s2 * f0 + a2 * x20 + (m20 + q2 * x10)
+            k21 = s2 * f1 + a2 * x21 + (m21 + q2 * x11)
+            k22 = s2 * f2 + a2 * x22 + (m22 + q2 * x12)
+            k23 = s2 * f3 + a2 * x23 + (m23 + q2 * x13)
+            k24 = s2 * f4 + a2 * x24 + (m24 + q2 * x14)
+            x3 = [x10 + hh * k20, x11 + hh * k21, x12 + hh * k22, x13 + hh * k23,
+                  x14 + hh * k24]
+            x30, x31, x32, x33, x34 = x3
+            f0, f1, f2, f3, f4 = f(t + hh, x3)
+            k30 = s2 * f0 + a2 * x30 + (m20 + q3 * x20)
+            k31 = s2 * f1 + a2 * x31 + (m21 + q3 * x21)
+            k32 = s2 * f2 + a2 * x32 + (m22 + q3 * x22)
+            k33 = s2 * f3 + a2 * x33 + (m23 + q3 * x23)
+            k34 = s2 * f4 + a2 * x34 + (m24 + q3 * x24)
+            x4 = [x10 + h * k30, x11 + h * k31, x12 + h * k32, x13 + h * k33, x14 + h * k34]
+            x40, x41, x42, x43, x44 = x4
+            f0, f1, f2, f3, f4 = f(t + h, x4)
+            k40 = s4 * f0 + a4 * x40 + (m40 + q4 * x30)
+            k41 = s4 * f1 + a4 * x41 + (m41 + q4 * x31)
+            k42 = s4 * f2 + a4 * x42 + (m42 + q4 * x32)
+            k43 = s4 * f3 + a4 * x43 + (m43 + q4 * x33)
+            k44 = s4 * f4 + a4 * x44 + (m44 + q4 * x34)
+            w = np.add(w, rw[k] @ np.array([x, [x20 + x30, x21 + x31, x22 + x32, x23 + x33,
+                                                 x24 + x34], x4]), out=ws[k, 0])
             h6 = h / 6.0
-            x = [xc + h6 * (a + 2.0 * b + 2.0 * c + d)
-                 for xc, a, b, c, d in zip(x, k1, k2, k3, k4)]
-            if not (all(map(isfinite, x)) and np.isfinite(w).all()):
-                fail_t[0] = tl[k + 1]
-                return
-            out[start + k + 1] = (x, w)
+            x10 = x10 + h6 * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
+            x11 = x11 + h6 * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+            x12 = x12 + h6 * (k12 + 2.0 * k22 + 2.0 * k32 + k42)
+            x13 = x13 + h6 * (k13 + 2.0 * k23 + 2.0 * k33 + k43)
+            x14 = x14 + h6 * (k14 + 2.0 * k24 + 2.0 * k34 + k44)
+            x = [x10, x11, x12, x13, x14]
+            rows.append(x)
+        xs[:len(rows), 0] = rows
+        if _store_block(out, start, tl, xs[:len(rows)], ws[:len(rows)], fail_t):
+            return
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -313,10 +356,12 @@ def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: 
     `_rk4_arrow`'s on one row per member, so each member equals its
     single run bit for bit.  A member whose state turns non-finite gets
     the time it failed to reach in fail_t (shape (B,), NaN while the
-    member runs); it steps on as NaN or inf, which no other member reads,
-    and the kernel returns as soon as every member has failed.
+    member runs) at the end of the block; it steps on as NaN or inf,
+    which no other member reads, and the kernel returns after the block
+    in which the last member failed.
     """
     f = system.rhs
+    xs, ws = _block_buffers(system, ts, x, w)
     stages = np.empty(x.shape[:-1] + (3, x.shape[-1]))  # [x_1, x_2 + x_3, x_4] per member
     stage_1, stage_23, stage_4 = stages.swapaxes(0, 1)
     for start, tl, g, rw, coefs in _arrow_steps(system, ts):
@@ -340,24 +385,51 @@ def _rk4_arrow_batch(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: 
             np.copyto(stage_1, x)
             np.add(x2, x3, out=stage_23)
             np.copyto(stage_4, x4)
-            w += rw[k] @ stages
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not (np.isfinite(x).all() and np.isfinite(w).all()):
-                bad = ~(np.isfinite(x).all(axis=-1) & np.isfinite(w).all(axis=(-2, -1)))
-                fail_t[bad & np.isnan(fail_t)] = tl[k + 1]
-                if bad.all():
-                    return
-            out[start + k + 1] = (x, w)
+            w = np.add(w, rw[k] @ stages, out=ws[k])
+            x = np.add(x, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=xs[k])
+        if _store_block(out, start, tl, xs[:len(coefs)], ws[:len(coefs)], fail_t):
+            return
+
+
+def _block_buffers(system: AugmentedSystem, ts: np.ndarray, x: np.ndarray, w: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Empty buffers for the states x (B, d) and w (B, N-1, d) at every node of a block.
+
+    A block is as many steps as `_arrow_steps` gives it, or all of ts's
+    if fewer; the kernels reuse the buffers for every block.
+    """
+    steps = min(_block_steps(system), len(ts) - 1)
+    return np.empty((steps,) + x.shape), np.empty((steps,) + w.shape)
+
+
+def _store_block(out, start: int, tl: list, xs: np.ndarray, ws: np.ndarray,
+                 fail_t: np.ndarray) -> bool:
+    """Store a block's states and mark the members that failed in it.
+
+    xs (steps, B, d) and ws (steps, B, N-1, d) are the states at the
+    block's nodes tl[1:], which go to rows start + 1 ... of out.  A
+    member still running (NaN in fail_t) with a non-finite state in the
+    block gets the node of its first such step: every earlier block was
+    finite for it, so that is the first node it failed to reach.  Returns
+    whether every member has failed.
+    """
+    out[start + 1] = (xs, ws)
+    finite = np.isfinite(xs).all(axis=-1) & np.isfinite(ws).all(axis=(-2, -1))
+    if finite.all():
+        return False
+    failed = np.isnan(fail_t) & ~finite.all(axis=0)
+    fail_t[failed] = np.take(tl[1:], finite.argmin(axis=0)[failed])
+    return not np.isnan(fail_t).any()
 
 
 class _Columns:
-    """Row writer from arrow states (x, w) into the column layout.
+    """Block writer from arrow states (x, w) into the column layout.
 
     values has shape (nodes, B, width), its columns the five physical
     states and, if width > 5, the moments state-major (`aux_column_names`);
-    self[i] = (x, w) writes row i - ramp, x of shape (B, 5) (or, for one
-    member, a list) and w of shape (B, N-1, 5) (or (N-1, 5)), and drops
-    the states i <= ramp of the start-up sub-steps before node 1.
+    self[i] = (x, w) writes the states of consecutive steps, x of shape
+    (steps, B, 5) and w of shape (steps, B, N-1, 5), from row i - ramp on,
+    and drops those of the start-up sub-steps before node 1 (rows <= 0).
     """
 
     def __init__(self, values: np.ndarray, ramp: int):
@@ -367,14 +439,14 @@ class _Columns:
         self.moments = (values[..., 5:].reshape(values.shape[:-1] + (5, -1))
                         if values.shape[-1] > 5 else None)
 
-    def __setitem__(self, i: int, state: tuple) -> None:
-        i -= self.ramp
-        if i <= 0:
-            return
-        x, w = state
-        self.physical[i] = x
+    def __setitem__(self, i: int, states: tuple) -> None:
+        x, w = states
+        first = i - self.ramp
+        skip = min(len(x), max(0, 1 - first))
+        rows = slice(first + skip, first + len(x))
+        self.physical[rows] = x[skip:]
         if self.moments is not None:
-            self.moments[i] = w.swapaxes(-1, -2)
+            self.moments[rows] = w[skip:].swapaxes(-1, -2)
 
 
 def _warn_undershoot(series: TimeSeries, params: ModelParams) -> None:
@@ -490,7 +562,7 @@ def _simulate(params: ModelParams, y0: StateVector, grid: TimeGrid,
     fractional = [cfg for cfg in cfgs if cfg.alpha != 1.0]
     stepped = len(fractional)
     nodes, runs, width = grid.nodes(), stepped + (stepped < len(cfgs)), len(columns)
-    expansion = sum(16 * c.order_n + 26 * (c.order_n - 1) for c in fractional)  # see MAX_ENTRIES
+    expansion = sum(21 * c.order_n + 26 * (c.order_n - 1) for c in fractional)  # see MAX_ENTRIES
     if len(nodes) * runs * width + expansion > MAX_ENTRIES:
         raise ValueError(f"a result of {len(nodes)} nodes x {runs} runs x {width} columns "
                          f"and {expansion} expansion entries exceed {MAX_ENTRIES:.0e} entries")

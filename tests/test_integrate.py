@@ -158,6 +158,46 @@ class TestArrowKernel:
         assert np.isnan(fail_t)
         np.testing.assert_allclose(values[-1], y, rtol=1e-12, atol=0.0)
 
+    @staticmethod
+    def _kernel_run(kernel, scenario, cfg, grid):
+        """The columns and fail_t that one kernel writes for cfg alone.
+
+        The inputs are `_simulate`'s: the start-up ramp from START_OFFSET,
+        the physical states at their t = 0 values and zero moments; the
+        columns are the five compartments and all 5 (N-1) moments.
+        """
+        params, y0 = scenario
+        system = expand_system(lambda t, y: classical_rhs(t, y, params), [cfg])
+        nodes = grid.nodes()
+        ramp = [integrate.START_OFFSET]
+        while ramp[-1] * integrate.RAMP_FACTOR < nodes[1]:
+            ramp.append(ramp[-1] * integrate.RAMP_FACTOR)
+        values = np.zeros((len(nodes), 1, 5 * cfg.order_n))
+        fail_t = np.full(1, np.nan)
+        kernel(system, np.concatenate([ramp, nodes[1:]]), y0.as_array()[None],
+               np.zeros((1, cfg.order_n - 1, 5)), _Columns(values, len(ramp) - 1), fail_t)
+        return values, fail_t
+
+    @pytest.mark.parametrize("alpha, order_n, grid, fail_node", [
+        (0.95, 7, TimeGrid(0.0, 3.0, 0.01), None),
+        (0.3, 7, TimeGrid(0.0, 100.0, 2.0), 7),   # fails in the grid body
+        (0.7, 50, TimeGrid(0.0, 1.0, 0.01), 1),   # fails in the start-up ramp
+    ])
+    def test_float_kernel_equals_batch_kernel_of_one(self, scenario, alpha, order_n, grid,
+                                                    fail_node):
+        # The float kernel and the array kernel, on a batch of one, write
+        # every column and the failure time alike, failed blocks included.
+        cfg = ExpansionConfig(alpha, order_n)
+        values, fail_t = self._kernel_run(_rk4_arrow, scenario, cfg, grid)
+        batch_values, batch_fail_t = self._kernel_run(integrate._rk4_arrow_batch, scenario,
+                                                      cfg, grid)
+        assert np.array_equal(values, batch_values, equal_nan=True)
+        assert np.array_equal(fail_t, batch_fail_t, equal_nan=True)
+        if fail_node is None:
+            assert np.isnan(fail_t[0]) and np.isfinite(values).all()
+        else:
+            assert int(np.searchsorted(grid.nodes(), fail_t[0])) == fail_node
+
 
 class TestSimulateClassical:
     def test_conserves_both_totals(self, scenario, classical_100d):
@@ -567,6 +607,16 @@ class TestOperatorBlocks:
         for k in (0, 2):
             assert np.array_equal(runs[k].values, default[k].values)
 
+    @pytest.mark.parametrize("steps", [1, 37, 106, 107, 108])
+    def test_solo_blow_up_node(self, scenario, monkeypatch, steps):
+        # States are checked once per block; the failure must still name the
+        # first node not reached, t = 0.13 (step 120 of the pass).
+        params, y0 = scenario
+        self._with_block(monkeypatch, steps, 1, order_n=41)
+        with pytest.raises(BlowUpError) as exc_info:
+            simulate_fractional(params, y0, ExpansionConfig(0.9, 41), TimeGrid(0.0, 1.0, 0.01))
+        assert (exc_info.value.time, exc_info.value.step_index) == (0.13, 13)
+
     @staticmethod
     def _peak_bytes(run):
         tracemalloc.start()
@@ -598,8 +648,8 @@ class TestOperatorBlocks:
     def test_expansion_arrays_over_budget_refused_before_building(self, scenario,
                                                                   monkeypatch):
         # Ten members at N = 1000: a result of 3 x 10 x 5 entries, but per
-        # member 16 N + 26 (N-1) entries of weights, moments and two steps'
-        # arrays (see MAX_ENTRIES).
+        # member 21 N + 26 (N-1) entries of weights, moments, two steps'
+        # arrays and the block buffers (see MAX_ENTRIES).
         params, y0 = scenario
 
         def no_system(*args, **kwargs):
@@ -608,12 +658,12 @@ class TestOperatorBlocks:
         monkeypatch.setattr(integrate, "MAX_ENTRIES", 10_000)
         monkeypatch.setattr(integrate, "expand_system", no_system)
         cfgs = [ExpansionConfig(0.9 + 0.01 * k, 1000) for k in range(10)]
-        with pytest.raises(ValueError, match="419740 expansion entries exceed"):
+        with pytest.raises(ValueError, match="469740 expansion entries exceed"):
             simulate_batch(params, y0, cfgs, TimeGrid(0.0, 0.02, 0.01))
 
     def test_mixed_batch_is_counted_once(self, scenario, monkeypatch):
-        # 101 nodes x 3 runs x 5 columns = 1515 entries, and 2 x 268 of the
-        # two alpha < 1 members' expansion: 2051 in all.  Each part alone
+        # 101 nodes x 3 runs x 5 columns = 1515 entries, and 2 x 303 of the
+        # two alpha < 1 members' expansion: 2121 in all.  Each part alone
         # fits in 2000; the alpha = 1 run is counted with the others.
         params, y0 = scenario
 
@@ -623,7 +673,7 @@ class TestOperatorBlocks:
         monkeypatch.setattr(integrate, "MAX_ENTRIES", 2_000)
         monkeypatch.setattr(integrate, "expand_system", no_system)
         cfgs = [ExpansionConfig(a, 7) for a in (0.9, 0.95, 1.0)]
-        with pytest.raises(ValueError, match="101 nodes x 3 runs x 5 columns and 536 "):
+        with pytest.raises(ValueError, match="101 nodes x 3 runs x 5 columns and 606 "):
             simulate_batch(params, y0, cfgs, TimeGrid(0.0, 1.0, 0.01))
 
     @pytest.mark.parametrize("members, order_n", [(1, 1000), (10, 1000), (100, 1000),
